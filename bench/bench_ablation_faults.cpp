@@ -6,10 +6,12 @@
 // table-replication factors 1, 2, and 4 -- "what does a lost channel cost
 // at p99, and how many replicas buy it back?".
 // Part (b): with zero injected faults, the fault-aware simulator must be
-// field-for-field identical to the fault-free SimulateReplicatedPipelines
-// (the injection layer is zero-cost when disabled); the run fails loudly
-// if not. Emits BENCH_ablation_faults.json alongside the table.
+// field-for-field identical to a fault-free sched::PipelineBackend with the
+// same replica count (the injection layer is zero-cost when disabled); the
+// run fails loudly if not. Emits BENCH_ablation_faults.json alongside the
+// table.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -20,7 +22,8 @@
 #include "faults/failover.hpp"
 #include "faults/fault_schedule.hpp"
 #include "placement/replication.hpp"
-#include "serving/scaleout.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "workload/model_zoo.hpp"
 
 using namespace microrec;
@@ -139,18 +142,17 @@ int main() {
     const DegradedServingReport& report = reports[p];
 
     if (k == 0) {
-      // Part (b): zero injected faults == the fault-free simulator,
-      // field for field.
-      DegradedServingConfig config;
-      config.pipeline_replicas = 1;
-      config.item_latency_ns = c.item_latency_ns;
-      config.initiation_interval_ns = engine.timing().initiation_interval_ns;
-      const auto baseline = SimulateReplicatedPipelines(
-                                arrivals, config.pipeline_replicas,
-                                config.item_latency_ns,
-                                config.initiation_interval_ns,
-                                config.sla_ns)
-                                .value();
+      // Part (b): zero injected faults == a fault-free pipeline pool with
+      // the grid's replica count, field for field.
+      sched::PipelineBackendConfig pool;
+      pool.replicas = 1;
+      pool.item_latency_ns = c.item_latency_ns;
+      pool.initiation_interval_ns = engine.timing().initiation_interval_ns;
+      const ServingReport baseline =
+          sched::ServeOnBackend(
+              arrivals, std::make_unique<sched::PipelineBackend>(pool),
+              DegradedServingConfig{}.sla_ns)
+              .serving;
       const bool same = report.availability == 1.0 &&
                         report.serving.p50 == baseline.p50 &&
                         report.serving.p95 == baseline.p95 &&

@@ -15,8 +15,8 @@
 // identical to the serial unrecorded run (threads and recording both cost
 // nothing).
 // Part (d): the zero-intensity grid points must be bit-identical to the
-// healthy SimulateScheduledServing loop (the fault layer costs nothing
-// when off).
+// unwrapped healthy fleet run through the same event loop (the fault
+// layer costs nothing when off).
 // Part (e): the recorded event log must reconcile exactly with the
 // blessed report's counters (every terminal accounted, no eviction).
 // Emits BENCH_chaos.json alongside the table.
@@ -28,8 +28,8 @@
 #include "obs/event_log.hpp"
 #include "sched/chaos.hpp"
 #include "sched/fleet.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "sched/policy.hpp"
-#include "sched/scheduler.hpp"
 
 using namespace microrec;
 
@@ -128,9 +128,9 @@ int main() {
 
   // Part (d): at intensity 0 every schedule is empty and the static /
   // queue-depth points run with the whole fault-tolerance layer disabled,
-  // so they must be bit-identical to the healthy base scheduler on the
-  // same stream (chaos.cpp's documented load: one Poisson stream at the
-  // config's seed) and a fresh unwrapped fleet.
+  // so they must be bit-identical to a fresh unwrapped fleet run through
+  // the same event loop on the same stream (chaos.cpp's documented load:
+  // one Poisson stream at the config's seed).
   const Nanoseconds span_ns =
       static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
   sched::LoadGenConfig load;
@@ -140,9 +140,9 @@ int main() {
   load.seed = config.seed;
   load.sizes = config.sizes;
   const auto stream = sched::GenerateLoad(load);
-  sched::SchedOptions base_options;
-  base_options.sla_ns = config.sla_ns;
-  base_options.slo_objective = config.slo_objective;
+  sched::FtOptions healthy_options;
+  healthy_options.base.sla_ns = config.sla_ns;
+  healthy_options.base.slo_objective = config.slo_objective;
   bool zero_identity = true;
   const std::pair<std::size_t, std::size_t> zero_checks[] = {
       {sched::kChaosStaticFpga, sched::kFleetFpga},
@@ -159,7 +159,9 @@ int main() {
             ? sched::MakeStaticPolicy(static_backend, "static:fpga")
             : sched::MakeQueueDepthPolicy();
     const sched::SchedReport base =
-        sched::SimulateScheduledServing(stream, fleet, *policy, base_options);
+        sched::SimulateFaultTolerantServing(stream, fleet, *policy,
+                                            healthy_options)
+            .base;
     zero_identity =
         zero_identity &&
         SameBaseReport(base,
@@ -250,7 +252,7 @@ int main() {
   }
   if (!zero_identity) {
     std::printf("FAIL: zero-intensity grid points differ from the healthy "
-                "base scheduler\n");
+                "unwrapped fleet\n");
     return 1;
   }
   if (!serial.headline_win) {

@@ -2,12 +2,17 @@
 // appendix with the serving simulators: how many devices and dollars does
 // a target traffic level need, and what latency does each fleet deliver?
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
 #include "core/microrec.hpp"
 #include "cpu/paper_baseline.hpp"
-#include "serving/hybrid.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
+#include "sched/load_gen.hpp"
+#include "sched/policy.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
 #include "workload/model_zoo.hpp"
@@ -51,10 +56,15 @@ int main() {
     const double qps = 1e6;
     const auto fpga_plan = ProvisionFleet(qps, fpga).value();
     const auto arrivals = PoissonArrivals(qps, 200'000, 11);
-    const auto fpga_fleet = SimulateReplicatedPipelines(
-        arrivals, static_cast<std::uint32_t>(fpga_plan.devices),
-        engine.ItemLatency(), engine.timing().initiation_interval_ns,
-        Milliseconds(30)).value();
+    sched::PipelineBackendConfig pool;
+    pool.replicas = static_cast<std::uint32_t>(fpga_plan.devices);
+    pool.item_latency_ns = engine.ItemLatency();
+    pool.initiation_interval_ns = engine.timing().initiation_interval_ns;
+    const ServingReport fpga_fleet =
+        sched::ServeOnBackend(arrivals,
+                              std::make_unique<sched::PipelineBackend>(pool),
+                              Milliseconds(30))
+            .serving;
     std::printf("\nFPGA fleet of %llu cards at %.0e qps:\n  %s\n",
                 (unsigned long long)fpga_plan.devices, qps,
                 fpga_fleet.ToString().c_str());
@@ -69,44 +79,51 @@ int main() {
   {
     const double fpga_capacity =
         kNanosPerSecond / engine.timing().initiation_interval_ns;
-    const auto arrivals = PoissonArrivals(1.4 * fpga_capacity, 100'000, 21);
+    const auto queries =
+        sched::SingleItemQueries(PoissonArrivals(1.4 * fpga_capacity,
+                                                 100'000, 21));
 
-    HybridFleetConfig config;
-    config.fpga_replicas = 1;
-    config.fpga_item_latency_ns = engine.ItemLatency();
-    config.fpga_initiation_interval_ns =
-        engine.timing().initiation_interval_ns;
-    config.cpu_servers = 5;
-    config.cpu_max_batch = 256;
-    config.cpu_batch_timeout_ns = Milliseconds(5);
-    config.cpu_batch_latency = [](std::uint64_t b) {
-      return Milliseconds(3.0) + static_cast<double>(b) * Microseconds(12.0);
+    // One fleet shape, two policies: backend 0 is one FPGA card, backend 1
+    // five batched CPU servers at 3 ms + 12 us per item. The spill policy
+    // moves a query to the CPUs once the card's backlog passes 1 ms.
+    const auto run = [&](sched::SchedulingPolicy& policy) {
+      std::vector<std::unique_ptr<sched::Backend>> fleet;
+      sched::PipelineBackendConfig fpga_pool;
+      fpga_pool.item_latency_ns = engine.ItemLatency();
+      fpga_pool.initiation_interval_ns =
+          engine.timing().initiation_interval_ns;
+      fleet.push_back(std::make_unique<sched::PipelineBackend>(fpga_pool));
+      sched::CpuBackendConfig cpu_pool;
+      cpu_pool.servers = 5;
+      cpu_pool.max_batch = 256;
+      cpu_pool.batch_timeout_ns = Milliseconds(5);
+      cpu_pool.fixed_overhead_ns = Milliseconds(3.0);
+      cpu_pool.per_item_ns = Microseconds(12.0);
+      fleet.push_back(std::make_unique<sched::CpuBatchedBackend>(cpu_pool));
+      sched::FtOptions options;
+      options.base.sla_ns = Milliseconds(30);
+      return sched::SimulateFaultTolerantServing(queries, fleet, policy,
+                                                 options)
+          .base;
     };
-    config.spill_threshold_ns = Milliseconds(1);
-
-    const auto hybrid = SimulateHybridFleet(arrivals, config, Milliseconds(30));
-    HybridFleetConfig fpga_only = config;
-    fpga_only.cpu_servers = 0;
-    const auto alone = SimulateHybridFleet(arrivals, fpga_only, Milliseconds(30));
+    const auto spill = sched::MakeSpillPolicy(0, 1, Milliseconds(1));
+    const auto fpga_only = sched::MakeStaticPolicy(0, "static:fpga");
+    const sched::SchedReport hybrid = run(*spill);
+    const sched::SchedReport alone = run(*fpga_only);
 
     std::printf("\nHybrid scheduling at 1.4x one card's capacity "
                 "(1 FPGA + 5 CPU servers):\n");
     TablePrinter table({"Fleet", "FPGA queries", "CPU queries", "p50", "p99",
                         "SLA violations"});
-    table.AddRow({"FPGA only (overloaded)",
-                  std::to_string(alone.fpga_queries),
-                  std::to_string(alone.cpu_queries),
-                  FormatNanos(alone.overall.p50),
-                  FormatNanos(alone.overall.p99),
-                  TablePrinter::Num(100.0 * alone.overall.sla_violation_rate,
-                                    1) + "%"});
-    table.AddRow({"hybrid with CPU spill",
-                  std::to_string(hybrid.fpga_queries),
-                  std::to_string(hybrid.cpu_queries),
-                  FormatNanos(hybrid.overall.p50),
-                  FormatNanos(hybrid.overall.p99),
-                  TablePrinter::Num(100.0 * hybrid.overall.sla_violation_rate,
-                                    1) + "%"});
+    const auto add_row = [&](const char* label, const sched::SchedReport& r) {
+      table.AddRow({label, std::to_string(r.usage[0].queries),
+                    std::to_string(r.usage[1].queries),
+                    FormatNanos(r.serving.p50), FormatNanos(r.serving.p99),
+                    TablePrinter::Num(100.0 * r.serving.sla_violation_rate,
+                                      1) + "%"});
+    };
+    add_row("FPGA only (overloaded)", alone);
+    add_row("hybrid with CPU spill", hybrid);
     table.Print();
     bench::PrintNote(
         "spilling the surplus to batched CPU servers bounds the tail at a "

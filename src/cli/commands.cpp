@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -29,8 +30,10 @@
 #include "faults/fault_schedule.hpp"
 #include "placement/heuristic.hpp"
 #include "placement/replication.hpp"
+#include "sched/backends.hpp"
 #include "sched/chaos.hpp"
 #include "sched/fleet.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "sched/sweep.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
@@ -55,6 +58,22 @@ Status WriteFileOrStream(const ArgList& args, const std::string& content,
   }
   file << content;
   out << "wrote " << content.size() << " bytes to " << *path << "\n";
+  return Status::Ok();
+}
+
+// The sweep commands' shared --json tail: when the flag is given, `emit`
+// writes the report into the file and the path is announced on `out`.
+Status WriteJsonReport(const ArgList& args,
+                       const std::function<void(std::ostream&)>& emit,
+                       std::ostream& out) {
+  const auto path = args.GetOption("json");
+  if (!path.has_value()) return Status::Ok();
+  std::ofstream file(*path);
+  if (!file) {
+    return Status::InvalidArgument("cannot open --json file " + *path);
+  }
+  emit(file);
+  out << "wrote JSON report to " << *path << "\n";
   return Status::Ok();
 }
 
@@ -492,16 +511,8 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
          << (k + 1 < *points ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    file << json.str();
-    out << "wrote JSON report to " << *path << "\n";
-  }
-  return Status::Ok();
+  return WriteJsonReport(
+      args, [&](std::ostream& file) { file << json.str(); }, out);
 }
 
 Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
@@ -675,16 +686,8 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
     first_record = false;
   }
   json << "\n  ]\n}\n";
-
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    file << json.str();
-    out << "wrote JSON report to " << *path << "\n";
-  }
-  return Status::Ok();
+  return WriteJsonReport(
+      args, [&](std::ostream& file) { file << json.str(); }, out);
 }
 
 Status CmdScaleout(const ArgList& args, std::ostream& out) {
@@ -751,13 +754,9 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
     }
   }
 
-  struct ScaleoutResult {
-    Status status;
-    ServingReport report;
-  };
   const Nanoseconds sla_ns = static_cast<double>(*sla_us) * 1000.0;
   exec::ParallelRunner runner(exec::ExecConfig::WithThreads(sweep->threads));
-  const std::vector<ScaleoutResult> results =
+  const std::vector<ServingReport> results =
       runner.Map(grid.size(), [&](std::size_t p) {
         const ScaleoutPoint& point = grid[p];
         // Both fleet sizes at one traffic level replay the same arrival
@@ -765,14 +764,15 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
         const auto arrivals = PoissonArrivals(
             point.target_qps, sweep->queries,
             exec::ParallelRunner::SubSeed(sweep->seed, point.qps_index));
-        auto report = SimulateReplicatedPipelines(
-            arrivals, static_cast<std::uint32_t>(point.devices),
-            engine->ItemLatency(), engine->timing().initiation_interval_ns,
-            sla_ns);
-        ScaleoutResult result;
-        result.status = report.status();
-        if (report.ok()) result.report = std::move(*report);
-        return result;
+        // The fleet is one pipeline pool with a replica per card.
+        sched::PipelineBackendConfig pool;
+        pool.replicas = static_cast<std::uint32_t>(point.devices);
+        pool.item_latency_ns = engine->ItemLatency();
+        pool.initiation_interval_ns = engine->timing().initiation_interval_ns;
+        return sched::ServeOnBackend(
+                   arrivals, std::make_unique<sched::PipelineBackend>(pool),
+                   sla_ns)
+            .serving;
       });
 
   out << "scale-out sweep for " << model->name << ": " << sweep->queries
@@ -785,9 +785,8 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
   json << "{\n  \"command\": \"scaleout\",\n  \"model\": \"" << model->name
        << "\",\n  \"sla_us\": " << *sla_us << ",\n  \"records\": [\n";
   for (std::size_t p = 0; p < grid.size(); ++p) {
-    if (!results[p].status.ok()) return results[p].status;
     const ScaleoutPoint& point = grid[p];
-    const ServingReport& report = results[p].report;
+    const ServingReport& report = results[p];
     char line[200];
     std::snprintf(line, sizeof line,
                   "%10.0f  %6llu  %-11s  %6.2f  %6.1f%%  %7.2f  %7.2f  "
@@ -809,16 +808,8 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
          << (p + 1 < grid.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    file << json.str();
-    out << "wrote JSON report to " << *path << "\n";
-  }
-  return Status::Ok();
+  return WriteJsonReport(
+      args, [&](std::ostream& file) { file << json.str(); }, out);
 }
 
 namespace {
@@ -981,11 +972,7 @@ Status CmdSchedSweep(const ArgList& args, std::ostream& out) {
          "under bursty load: "
       << (result.slo_beats_best_static_any ? "YES" : "NO") << "\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
+  const auto write_json = [&](std::ostream& file) {
     obs::JsonWriter json(file);
     json.BeginObject();
     json.KV("command", "sched-sweep");
@@ -1032,8 +1019,8 @@ Status CmdSchedSweep(const ArgList& args, std::ostream& out) {
     json.KV("slo_beats_best_static_any", result.slo_beats_best_static_any);
     json.EndObject();
     file << "\n";
-    out << "wrote JSON report to " << *path << "\n";
-  }
+  };
+  MICROREC_RETURN_IF_ERROR(WriteJsonReport(args, write_json, out));
 
   if (args.GetOption("record-events").has_value() ||
       args.GetOption("postmortem").has_value()) {
@@ -1138,11 +1125,7 @@ Status CmdChaosSweep(const ArgList& args, std::ostream& out) {
          "recovers where a static cannot: "
       << (result.headline_win ? "YES" : "NO") << "\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
+  const auto write_json = [&](std::ostream& file) {
     obs::JsonWriter json(file);
     json.BeginObject();
     json.KV("command", "chaos-sweep");
@@ -1217,8 +1200,8 @@ Status CmdChaosSweep(const ArgList& args, std::ostream& out) {
     json.KV("headline_win", result.headline_win);
     json.EndObject();
     file << "\n";
-    out << "wrote JSON report to " << *path << "\n";
-  }
+  };
+  MICROREC_RETURN_IF_ERROR(WriteJsonReport(args, write_json, out));
 
   if (config.record_events) {
     // The blessed point: highest intensity x breaker-retry-hedge.

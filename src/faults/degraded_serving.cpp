@@ -66,8 +66,8 @@ StatusOr<DegradedServingReport> SimulateDegradedServing(
   }
 
   // next_start[k]: earliest time pipeline replica k can begin a new item
-  // (same dispatch state as SimulateReplicatedPipelines; the fault layer
-  // only filters which replicas are eligible and reshapes per-item cost).
+  // (same dispatch state as sched::PipelineBackend; the fault layer only
+  // filters which replicas are eligible and reshapes per-item cost).
   std::vector<Nanoseconds> next_start(config.pipeline_replicas, 0.0);
   std::vector<Nanoseconds> served_arrivals;
   std::vector<Nanoseconds> served_completions;

@@ -17,8 +17,9 @@
 //
 // Regression guarantee (tested, and asserted by bench_ablation_faults):
 // with an empty schedule the report's ServingReport is field-for-field
-// identical to SimulateReplicatedPipelines on the same arrivals -- the
-// injection layer is zero-cost when disabled.
+// identical to a sched::PipelineBackend with the same replica count
+// serving the same arrivals -- the injection layer is zero-cost when
+// disabled.
 #pragma once
 
 #include <cstdint>

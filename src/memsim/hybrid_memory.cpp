@@ -39,8 +39,6 @@ MemsimTelemetry::MemsimTelemetry(obs::MetricsRegistry* registry,
       banks_[b].accesses =
           &registry->counter("memsim_bank_accesses_total", labels);
       banks_[b].bytes = &registry->counter("memsim_bank_bytes_total", labels);
-      banks_[b].rejected =
-          &registry->counter("memsim_bank_rejected_total", labels);
       banks_[b].queue_backlog_ns =
           &registry->gauge("memsim_bank_queue_backlog_ns", labels);
       banks_[b].queue_backlog_peak_ns =
@@ -81,11 +79,6 @@ void MemsimTelemetry::OnAccess(std::uint32_t bank, Bytes bytes,
   }
 }
 
-void MemsimTelemetry::OnReject(std::uint32_t bank) {
-  MICROREC_CHECK(bank < banks_.size());
-  if (has_metrics_) banks_[bank].rejected->Inc();
-}
-
 HybridMemorySystem::HybridMemorySystem(MemoryPlatformSpec spec, double overlap)
     : spec_(std::move(spec)), overlap_(overlap) {
   channels_.reserve(spec_.total_banks());
@@ -107,7 +100,6 @@ void HybridMemorySystem::IssueBatchInto(std::span<const BankAccess> accesses,
   out.start_ns = start_ns;
   out.completion_ns = start_ns;
   out.completions.clear();
-  out.rejected.clear();
   out.completions.reserve(accesses.size());
 
   // Bank bounds are validated once up front, so the serve loops below run
@@ -118,12 +110,12 @@ void HybridMemorySystem::IssueBatchInto(std::span<const BankAccess> accesses,
     MICROREC_CHECK(access.bank < num_banks);
   }
 
-  // Fast path: no fault oracle to virtual-dispatch, no telemetry, no trace
-  // -- the common case for every healthy-serving simulation, and the loop
-  // the parallel experiment engine hammers from every worker's private
-  // memory system. One branch decides, then the loop body is just
-  // ChannelSim arithmetic and a push into pre-reserved storage.
-  if (fault_model_ == nullptr && telemetry_ == nullptr && !trace_enabled_) {
+  // Fast path: no telemetry, no trace -- the common case for every
+  // serving simulation, and the loop the parallel experiment engine
+  // hammers from every worker's private memory system. One branch decides,
+  // then the loop body is just ChannelSim arithmetic and a push into
+  // pre-reserved storage.
+  if (telemetry_ == nullptr && !trace_enabled_) {
     Nanoseconds worst = out.completion_ns;
     for (const auto& access : accesses) {
       const MemCompletion done = channels_[access.bank].Serve(
@@ -136,21 +128,12 @@ void HybridMemorySystem::IssueBatchInto(std::span<const BankAccess> accesses,
   }
 
   for (const auto& access : accesses) {
-    double scale = 1.0;
-    if (fault_model_ != nullptr) {
-      if (!fault_model_->BankAvailable(access.bank, start_ns)) {
-        out.rejected.push_back(access);
-        if (telemetry_ != nullptr) telemetry_->OnReject(access.bank);
-        continue;
-      }
-      scale = fault_model_->LatencyMultiplier(access.bank, start_ns);
-    }
     Nanoseconds backlog_ns = 0.0;
     if (telemetry_ != nullptr) {
       backlog_ns = std::max(0.0, channels_[access.bank].free_at_ns() - start_ns);
     }
     const MemCompletion done = channels_[access.bank].Serve(
-        MemRequest{start_ns, access.bytes, access.tag, scale});
+        MemRequest{start_ns, access.bytes, access.tag, 1.0});
     if (telemetry_ != nullptr) {
       telemetry_->OnAccess(access.bank, access.bytes, start_ns,
                            done.queue_delay_ns,

@@ -31,26 +31,8 @@ struct LookupBatchResult {
   Nanoseconds start_ns = 0.0;
   Nanoseconds completion_ns = 0.0;  ///< when the slowest bank finished
   std::vector<MemCompletion> completions;
-  /// Accesses refused because their bank was unavailable (only non-empty
-  /// when a BankFaultModel is installed). Callers decide whether to
-  /// re-route, retry, or shed them — they are never silently dropped.
-  std::vector<BankAccess> rejected;
 
   Nanoseconds latency_ns() const { return completion_ns - start_ns; }
-};
-
-/// Abstract per-bank fault oracle consulted by HybridMemorySystem at issue
-/// time. Implemented by faults/FaultInjector; declared here so memsim does
-/// not depend on the faults module. With no model installed the simulator
-/// behaves bit-for-bit as before (zero-cost when disabled).
-class BankFaultModel {
- public:
-  virtual ~BankFaultModel() = default;
-  /// False while `bank` is failed: accesses are rejected, not served.
-  virtual bool BankAvailable(std::uint32_t bank, Nanoseconds now) const = 0;
-  /// Service-time multiplier (>= 1.0) for `bank` at `now`; 1.0 = healthy.
-  virtual double LatencyMultiplier(std::uint32_t bank,
-                                   Nanoseconds now) const = 0;
 };
 
 /// Optional per-access trace record (enable via set_trace_enabled).
@@ -86,13 +68,11 @@ class MemsimTelemetry {
   void OnAccess(std::uint32_t bank, Bytes bytes, Nanoseconds issue_ns,
                 Nanoseconds queue_delay_ns, Nanoseconds service_ns,
                 Nanoseconds backlog_ns);
-  void OnReject(std::uint32_t bank);
 
  private:
   struct BankHandles {
     obs::Counter* accesses = nullptr;
     obs::Counter* bytes = nullptr;
-    obs::Counter* rejected = nullptr;
     obs::Gauge* queue_backlog_ns = nullptr;  ///< backlog seen by the last access
     obs::Gauge* queue_backlog_peak_ns = nullptr;
     obs::TimeSeries* busy_ns = nullptr;      ///< kSum: service ns per bucket
@@ -155,11 +135,6 @@ class HybridMemorySystem {
   void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
   const std::vector<AccessTraceRecord>& trace() const { return trace_; }
 
-  /// Installs (or clears, with nullptr) the fault oracle. Not owned; must
-  /// outlive the memory system while installed.
-  void set_fault_model(const BankFaultModel* model) { fault_model_ = model; }
-  const BankFaultModel* fault_model() const { return fault_model_; }
-
   /// Installs (or clears, with nullptr) the telemetry adapter. Not owned;
   /// must outlive the memory system while installed. Pure observation:
   /// completions are identical with or without it.
@@ -172,7 +147,6 @@ class HybridMemorySystem {
   std::vector<ChannelSim> channels_;
   bool trace_enabled_ = false;
   std::vector<AccessTraceRecord> trace_;
-  const BankFaultModel* fault_model_ = nullptr;
   MemsimTelemetry* telemetry_ = nullptr;
 };
 

@@ -1,13 +1,12 @@
 // Unified execution-backend abstraction for multi-path query scheduling.
 //
-// The repo grew four ways to serve a recommendation query -- the MicroRec
-// item-streaming pipeline, the batched CPU baseline, the hot-cache fast
-// path, and fault-degraded replica pools -- each simulated by its own
-// free function. This interface makes them interchangeable targets behind
-// one contract so a scheduler can choose *per query*, which is what
-// DeepRecSys- and MP-Rec-style serving systems do and what the roadmap
-// needs before parameter-server and NMP tiers can slot in as "just
-// another backend".
+// The repo has three ways to serve a recommendation query -- the MicroRec
+// item-streaming pipeline (optionally a fault-degraded replica pool), the
+// batched CPU baseline, and the hot-cache fast path. This interface makes
+// them interchangeable targets behind one contract so a scheduler can
+// choose *per query*, which is what DeepRecSys- and MP-Rec-style serving
+// systems do and what the roadmap needs before parameter-server and NMP
+// tiers can slot in as "just another backend".
 //
 // The contract is simulated-time and strictly deterministic:
 //

@@ -33,23 +33,52 @@ double PipelineBackend::capacity_items_per_s() const {
          config_.initiation_interval_ns;
 }
 
+bool PipelineBackend::Accepting(Nanoseconds now) const {
+  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
+    if (config_.faults.ReplicaAlive(k, now)) return true;
+  }
+  return false;
+}
+
 Nanoseconds PipelineBackend::QueueDepthNs(Nanoseconds now) const {
-  Nanoseconds earliest = replicas_[0].NextStart();
-  for (std::size_t k = 1; k < replicas_.size(); ++k) {
-    earliest = std::min(earliest, replicas_[k].NextStart());
+  // Backlog of the least-loaded *alive* replica; falls back to the whole
+  // pool when dark (policies consult Accepting first).
+  bool any_alive = false;
+  Nanoseconds earliest = 0.0;
+  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
+    if (!config_.faults.ReplicaAlive(k, now)) continue;
+    const Nanoseconds next = replicas_[k].NextStart();
+    earliest = any_alive ? std::min(earliest, next) : next;
+    any_alive = true;
+  }
+  if (!any_alive) {
+    earliest = replicas_[0].NextStart();
+    for (std::size_t k = 1; k < replicas_.size(); ++k) {
+      earliest = std::min(earliest, replicas_[k].NextStart());
+    }
   }
   return std::max(0.0, earliest - now);
 }
 
 bool PipelineBackend::Admit(const SchedQuery& q) {
-  // Least-loaded dispatch: earliest NextStart, lowest index on ties --
-  // the same rule (and the same floating-point comparisons) as
-  // SimulateReplicatedPipelines.
-  std::size_t best = 0;
-  for (std::size_t k = 1; k < replicas_.size(); ++k) {
-    if (replicas_[k].NextStart() < replicas_[best].NextStart()) best = k;
+  // Least-loaded dispatch over replicas alive at the arrival instant:
+  // earliest NextStart, lowest index on ties.
+  bool found = false;
+  std::uint32_t best = 0;
+  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
+    if (!config_.faults.ReplicaAlive(k, q.arrival_ns)) continue;
+    if (!found || replicas_[k].NextStart() < replicas_[best].NextStart()) {
+      best = k;
+      found = true;
+    }
   }
-  done_.Push(q.id, replicas_[best].Admit(q.arrival_ns, q.items));
+  if (!found) return false;  // pool dark: shed
+  // Degrade windows (keyed by replica index) stretch the item latency.
+  const double multiplier =
+      config_.faults.BankLatencyMultiplier(best, q.arrival_ns);
+  done_.Push(q.id,
+             replicas_[best].AdmitWithLatency(
+                 q.arrival_ns, q.items, config_.item_latency_ns * multiplier));
   return true;
 }
 
@@ -211,85 +240,6 @@ void HotCacheBackend::Drain(Nanoseconds now,
 }
 
 void HotCacheBackend::Finalize(std::vector<SchedCompletion>& out) {
-  done_.DrainAll(out);
-}
-
-// ---------------------------------------------------------------------------
-// DegradedPoolBackend
-// ---------------------------------------------------------------------------
-
-DegradedPoolBackend::DegradedPoolBackend(const DegradedBackendConfig& config)
-    : config_(config) {
-  MICROREC_CHECK(config.replicas >= 1);
-  MICROREC_CHECK(config.item_latency_ns > 0.0);
-  MICROREC_CHECK(config.initiation_interval_ns > 0.0);
-  cost_.fixed_ns = config.item_latency_ns - config.initiation_interval_ns;
-  cost_.per_item_ns = config.initiation_interval_ns;
-  cost_.per_lookup_ns = 0.0;
-  replicas_.assign(config.replicas,
-                   PipelineServer(config.item_latency_ns,
-                                  config.initiation_interval_ns));
-}
-
-double DegradedPoolBackend::capacity_items_per_s() const {
-  return static_cast<double>(config_.replicas) * kNanosPerSecond /
-         config_.initiation_interval_ns;
-}
-
-bool DegradedPoolBackend::Accepting(Nanoseconds now) const {
-  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
-    if (config_.faults.ReplicaAlive(k, now)) return true;
-  }
-  return false;
-}
-
-Nanoseconds DegradedPoolBackend::QueueDepthNs(Nanoseconds now) const {
-  // Backlog of the least-loaded *alive* replica; falls back to the whole
-  // pool when dark (policies consult Accepting first).
-  bool any_alive = false;
-  Nanoseconds earliest = 0.0;
-  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
-    if (!config_.faults.ReplicaAlive(k, now)) continue;
-    const Nanoseconds next = replicas_[k].NextStart();
-    earliest = any_alive ? std::min(earliest, next) : next;
-    any_alive = true;
-  }
-  if (!any_alive) {
-    earliest = replicas_[0].NextStart();
-    for (std::size_t k = 1; k < replicas_.size(); ++k) {
-      earliest = std::min(earliest, replicas_[k].NextStart());
-    }
-  }
-  return std::max(0.0, earliest - now);
-}
-
-bool DegradedPoolBackend::Admit(const SchedQuery& q) {
-  // Least-loaded dispatch over replicas alive at the arrival instant.
-  bool found = false;
-  std::uint32_t best = 0;
-  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
-    if (!config_.faults.ReplicaAlive(k, q.arrival_ns)) continue;
-    if (!found || replicas_[k].NextStart() < replicas_[best].NextStart()) {
-      best = k;
-      found = true;
-    }
-  }
-  if (!found) return false;  // pool dark: shed
-  // Degrade windows (keyed by replica index) stretch the item latency.
-  const double multiplier =
-      config_.faults.BankLatencyMultiplier(best, q.arrival_ns);
-  done_.Push(q.id,
-             replicas_[best].AdmitWithLatency(
-                 q.arrival_ns, q.items, config_.item_latency_ns * multiplier));
-  return true;
-}
-
-void DegradedPoolBackend::Drain(Nanoseconds now,
-                                std::vector<SchedCompletion>& out) {
-  done_.DrainUntil(now, out);
-}
-
-void DegradedPoolBackend::Finalize(std::vector<SchedCompletion>& out) {
   done_.DrainAll(out);
 }
 

@@ -1,12 +1,11 @@
-// Backend adapters over the repo's existing execution paths.
+// Backend adapters over the repo's execution paths.
 //
-// Each adapter wraps the same state machine its pre-sched simulator runs
-// -- PipelineServer for the item-streaming paths, OnlineBatchedServer for
-// the CPU baseline -- so routing every query of a stream to one backend
-// reproduces that simulator's completions bit for bit (gated by
-// tests/sched_test.cpp). The adapters add only what scheduling needs:
-// cost-model coefficients, queue-depth probes, and the sorted
-// Drain/Finalize completion surface.
+// Each adapter wraps one shared state machine -- PipelineServer for the
+// item-streaming paths, OnlineBatchedServer for the CPU baseline -- so
+// routing every query of a stream to one backend reproduces that
+// machine's own recurrence bit for bit (gated by tests/sched_test.cpp).
+// The adapters add only what scheduling needs: cost-model coefficients,
+// queue-depth probes, and the sorted Drain/Finalize completion surface.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +26,18 @@ namespace microrec::sched {
 
 // ---------------------------------------------------------------------------
 // PipelineBackend: R replicas of the MicroRec item-streaming pipeline with
-// least-loaded dispatch -- the accelerator path. A k-item query streams k
-// back-to-back items through one replica. With one replica and single-item
-// queries this is exactly SimulatePipelinedServer; with R replicas it is
-// exactly SimulateReplicatedPipelines.
+// least-loaded dispatch (earliest next start, lowest index on ties) -- the
+// accelerator path. A k-item query streams k back-to-back items through
+// one replica: query i starts at max(arrival, prev_start + II) on its
+// replica and completes one item latency after its last item starts.
+//
+// `faults` makes the pool degradable: a replica covered by a
+// kReplicaCrash window accepts nothing, and kChannelDegrade windows (keyed
+// by replica index) multiply its item latency. When every replica is down
+// the backend stops Accepting and Admit sheds, which is how fault windows
+// become visible to scheduling policies. With an empty schedule every
+// replica is always alive and the multiplier is exactly 1.0, so the pool
+// is the healthy recurrence bit for bit.
 // ---------------------------------------------------------------------------
 
 struct PipelineBackendConfig {
@@ -38,6 +45,7 @@ struct PipelineBackendConfig {
   std::uint32_t replicas = 1;
   Nanoseconds item_latency_ns = 0.0;
   Nanoseconds initiation_interval_ns = 0.0;
+  FaultSchedule faults;
 };
 
 class PipelineBackend : public Backend {
@@ -48,6 +56,7 @@ class PipelineBackend : public Backend {
   const BackendCostModel& cost_model() const override { return cost_; }
   double capacity_items_per_s() const override;
   Nanoseconds QueueDepthNs(Nanoseconds now) const override;
+  bool Accepting(Nanoseconds now) const override;
   bool Admit(const SchedQuery& q) override;
   void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
   void Finalize(std::vector<SchedCompletion>& out) override;
@@ -64,8 +73,10 @@ class PipelineBackend : public Backend {
 // TensorFlow-Serving baseline) with round-robin query placement. Each
 // query's items enter its server's batch queue as individual units, so the
 // shared batch-forming state machine is untouched; the query completes
-// when its last unit's batch does. With one server and single-item queries
-// this is exactly SimulateBatchedServer.
+// when its last unit's batch does. A batch of b units takes
+// fixed_overhead + b * (per_item + lookups_per_item * per_lookup). With
+// one server and single-item queries this is exactly OnlineBatchedServer
+// with every query assigned and then a final flush.
 // ---------------------------------------------------------------------------
 
 struct CpuBackendConfig {
@@ -151,42 +162,6 @@ class HotCacheBackend : public Backend {
   EmbeddingCacheSim cache_;
   ZipfSampler zipf_;
   Rng rng_;
-  CompletionQueue done_;
-};
-
-// ---------------------------------------------------------------------------
-// DegradedPoolBackend: a replica pool driven by a FaultSchedule. A replica
-// covered by a kReplicaCrash window accepts nothing; kChannelDegrade
-// windows (keyed by replica index) multiply its item latency. When every
-// replica is down the backend stops Accepting and Admit sheds, which is
-// how fault windows become visible to scheduling policies.
-// ---------------------------------------------------------------------------
-
-struct DegradedBackendConfig {
-  std::string name = "degraded";
-  std::uint32_t replicas = 1;
-  Nanoseconds item_latency_ns = 0.0;
-  Nanoseconds initiation_interval_ns = 0.0;
-  FaultSchedule faults;
-};
-
-class DegradedPoolBackend : public Backend {
- public:
-  explicit DegradedPoolBackend(const DegradedBackendConfig& config);
-
-  std::string_view name() const override { return config_.name; }
-  const BackendCostModel& cost_model() const override { return cost_; }
-  double capacity_items_per_s() const override;
-  Nanoseconds QueueDepthNs(Nanoseconds now) const override;
-  bool Accepting(Nanoseconds now) const override;
-  bool Admit(const SchedQuery& q) override;
-  void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
-  void Finalize(std::vector<SchedCompletion>& out) override;
-
- private:
-  DegradedBackendConfig config_;
-  BackendCostModel cost_;
-  std::vector<PipelineServer> replicas_;
   CompletionQueue done_;
 };
 

@@ -1,12 +1,12 @@
 // Fault injection for ANY scheduler backend.
 //
-// Before this layer, only DegradedPoolBackend could fail mid-run: the
-// other three paths were structurally immortal, so no policy could be
-// tested against the scenario the fleet actually fears -- the low-latency
-// path crashing, the throughput path browning out, the cache path
-// stalling. BackendFaultModel reads one backend's fault timeline out of a
-// seeded faults::FaultSchedule (the same schedule type PR 2's memsim and
-// replica injection use), and FaultInjectedBackend applies it to any
+// A PipelineBackend's own fault schedule crashes or slows individual
+// replicas; every other path is structurally immortal, so on its own no
+// policy could be tested against the scenario the fleet actually fears --
+// the low-latency path crashing, the throughput path browning out, the
+// cache path stalling. BackendFaultModel reads one backend's fault
+// timeline out of a seeded faults::FaultSchedule (the same schedule type
+// replica injection uses), and FaultInjectedBackend applies it to any
 // Backend behind the unchanged Backend contract:
 //
 //   * kReplicaCrash  (target = backend id): the backend goes dark -- it

@@ -46,7 +46,7 @@ std::vector<std::unique_ptr<Backend>> BuildStandardFleet(
   // dark over [0.40, 0.55) of the horizon, so a static policy pinned here
   // must shed -- that is the failure mode the scheduler should route
   // around.
-  DegradedBackendConfig degraded;
+  PipelineBackendConfig degraded;
   degraded.name = "degraded";
   degraded.replicas = config.degraded_replicas;
   degraded.item_latency_ns = config.degraded_item_latency_ns;
@@ -67,7 +67,7 @@ std::vector<std::unique_ptr<Backend>> BuildStandardFleet(
   slow.target = 0;
   slow.magnitude = 2.5;
   MICROREC_CHECK(degraded.faults.Add(slow).ok());
-  fleet.push_back(std::make_unique<DegradedPoolBackend>(degraded));
+  fleet.push_back(std::make_unique<PipelineBackend>(degraded));
 
   return fleet;
 }

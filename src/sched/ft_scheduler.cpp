@@ -8,7 +8,7 @@
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
-#include "sched/policy.hpp"
+#include "sched/load_gen.hpp"
 
 namespace microrec::sched {
 
@@ -68,6 +68,16 @@ struct TaggedCompletion {
 
 }  // namespace
 
+std::string SchedReport::ToString() const {
+  std::ostringstream os;
+  os << policy << ": " << served << "/" << offered << " served"
+     << " | availability " << 100.0 * availability << "%"
+     << " | p99 " << FormatNanos(serving.p99)
+     << " | SLO bad " << 100.0 * slo.bad_fraction << "%"
+     << (slo.alerted ? " [ALERT]" : "");
+  return os.str();
+}
+
 std::string FtSchedReport::ToString() const {
   std::ostringstream os;
   os << base.ToString() << " | timed_out " << timed_out << " | retries "
@@ -114,9 +124,12 @@ FtSchedReport SimulateFaultTolerantServing(
 
   std::vector<QueryState> states(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    // GenerateLoad's contract (ids 0..n-1 in stream order), relied on by
-    // the re-admission path to recover a query's sizes from its id.
+    // GenerateLoad's contract: ids 0..n-1 in stream order (the
+    // re-admission path recovers a query's sizes from its id) and
+    // nondecreasing arrivals (every backend's admit-time contract).
     MICROREC_CHECK(queries[i].id == i);
+    MICROREC_CHECK(i == 0 ||
+                   queries[i].arrival_ns >= queries[i - 1].arrival_ns);
     states[i].arrival = queries[i].arrival_ns;
   }
 
@@ -281,8 +294,8 @@ FtSchedReport SimulateFaultTolerantServing(
     std::size_t pick = kNoPick;
     bool forced = false;
     if (unrestricted) {
-      // Exactly the base scheduler's path: the policy's pick is admitted
-      // unconditionally (a rejected admit is a shed).
+      // The base path: the policy's pick is admitted unconditionally (a
+      // rejected admit is a shed).
       pick = policy.Route(q2, backends);
       MICROREC_CHECK(pick < n_backends);
       if (elog != nullptr) {
@@ -598,7 +611,7 @@ FtSchedReport SimulateFaultTolerantServing(
     MICROREC_CHECK(s.terminal != Terminal::kPending);
   }
 
-  // ---- Report: identical arithmetic to SimulateScheduledServing --------
+  // ---- Report: percentiles over served queries, SLO over all offered ----
   std::vector<Nanoseconds> served_arrivals;
   std::vector<Nanoseconds> served_completions;
   std::vector<obs::QueryOutcome> outcomes;
@@ -636,6 +649,20 @@ FtSchedReport SimulateFaultTolerantServing(
   }
   if (options.outcomes != nullptr) *options.outcomes = std::move(outcomes);
   return report;
+}
+
+SchedReport ServeOnBackend(const std::vector<Nanoseconds>& arrivals,
+                           std::unique_ptr<Backend> backend,
+                           Nanoseconds sla_ns) {
+  std::vector<std::unique_ptr<Backend>> fleet;
+  fleet.push_back(std::move(backend));
+  const auto policy =
+      MakeStaticPolicy(0, "static:" + std::string(fleet[0]->name()));
+  FtOptions options;
+  options.base.sla_ns = sla_ns;
+  return SimulateFaultTolerantServing(SingleItemQueries(arrivals), fleet,
+                                      *policy, options)
+      .base;
 }
 
 }  // namespace microrec::sched

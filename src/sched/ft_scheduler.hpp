@@ -1,10 +1,19 @@
-// Fault-tolerant scheduled serving: the SimulateScheduledServing loop
-// rebuilt as a discrete-event simulation so queries can be re-admitted
-// after their arrival instant -- which is what deadlines, retries, and
-// hedges require -- while every backend still sees nondecreasing admit
-// times (its contract).
+// The multi-path serving simulation: policy-routed queries over a Backend
+// fleet, with per-backend usage accounting and SLO evaluation. It is the
+// one serving loop for routed fleets -- a single-path server is a static
+// policy over one backend, the hybrid CPU-spill fleet is MakeSpillPolicy
+// over two. It runs as a discrete-event simulation so queries can be
+// re-admitted after their arrival instant -- which is what deadlines,
+// retries, and hedges require -- while every backend still sees
+// nondecreasing admit times (its contract).
 //
-// On top of the base loop it layers, each independently switchable:
+// Base behaviour: each query is routed once at its arrival, the policy's
+// pick is admitted unconditionally (a rejected admit is a shed), and
+// backend completion streams merge in (completion, id) order before
+// reaching the policy's feedback hook, so the same inputs produce
+// byte-identical reports at any call site.
+//
+// On top of that it layers, each independently switchable:
 //
 //   * Circuit breakers (sched/health.hpp), one per backend, fed by
 //     deterministic health probes (a probe clock checks Accepting every
@@ -28,10 +37,10 @@
 //
 // Terminal accounting is exact: every offered query ends in exactly one
 // of {served, shed, timed_out} (the never-drop invariant, gated in
-// tests/chaos_test.cpp). With every feature disabled the event loop
-// replays SimulateScheduledServing's admission and feedback sequence
-// bit for bit (also test-gated), so the fault-tolerance layer costs
-// nothing when off.
+// tests/chaos_test.cpp). With every feature disabled the loop is exactly
+// the base behaviour above: routing a stream to one pipeline or batched
+// CPU backend reproduces that server's own recurrence bit for bit
+// (gated in tests/sched_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -43,10 +52,43 @@
 #include "faults/retry.hpp"
 #include "obs/event_log.hpp"
 #include "obs/slo.hpp"
+#include "sched/backend.hpp"
 #include "sched/health.hpp"
-#include "sched/scheduler.hpp"
+#include "sched/policy.hpp"
+#include "serving/serving_sim.hpp"
 
 namespace microrec::sched {
+
+struct SchedOptions {
+  /// Per-query latency SLA; also the SLO's latency threshold.
+  Nanoseconds sla_ns = 0.0;
+  /// Target good fraction for the burn-rate SLO evaluation.
+  double slo_objective = 0.99;
+};
+
+/// How much of the stream one backend absorbed.
+struct BackendUsage {
+  std::string name;
+  std::uint64_t queries = 0;
+  std::uint64_t items = 0;
+};
+
+struct SchedReport {
+  std::string policy;
+  /// Percentile summary over *served* queries (the shared SummarizeServing
+  /// arithmetic; zeroed when everything was shed).
+  ServingReport serving;
+  std::uint64_t offered = 0;
+  std::uint64_t served = 0;
+  std::uint64_t shed = 0;
+  double availability = 1.0;  ///< served / offered
+  /// Burn-rate SLO over all offered queries (shed = bad), spec'd from
+  /// SchedOptions with the run span as the budget period.
+  obs::SloReport slo;
+  std::vector<BackendUsage> usage;  ///< fleet order
+
+  std::string ToString() const;
+};
 
 /// Hedged-request knobs. The hedge delay adapts: it is
 /// max(delay_scale * observed-latency-quantile, min_delay_ns), and no
@@ -121,12 +163,20 @@ struct FtSchedReport {
 };
 
 /// Runs the stream through the fleet under `policy` with the
-/// fault-tolerance layer of `options`. Same input contract as
-/// SimulateScheduledServing; deterministic for the same reasons, plus a
-/// (time, sequence-number) total order over re-admission events.
+/// fault-tolerance layer of `options`. Queries must be in nondecreasing
+/// arrival order with ids 0..n-1 (GenerateLoad's contract). Deterministic:
+/// completions merge in (completion, id, backend) order and events in a
+/// (time, sequence-number) total order.
 FtSchedReport SimulateFaultTolerantServing(
     const std::vector<SchedQuery>& queries,
     std::vector<std::unique_ptr<Backend>>& backends,
     SchedulingPolicy& policy, const FtOptions& options);
+
+/// Serves one single-item query per arrival on `backend` alone: a static
+/// policy over a one-backend fleet, fault-tolerance layer off. This is how
+/// a single-path server (one pipeline pool, one batched CPU pool) runs.
+SchedReport ServeOnBackend(const std::vector<Nanoseconds>& arrivals,
+                           std::unique_ptr<Backend> backend,
+                           Nanoseconds sla_ns);
 
 }  // namespace microrec::sched

@@ -139,4 +139,14 @@ std::vector<SchedQuery> GenerateLoad(const LoadGenConfig& config) {
   return queries;
 }
 
+std::vector<SchedQuery> SingleItemQueries(
+    const std::vector<Nanoseconds>& arrivals) {
+  std::vector<SchedQuery> queries;
+  queries.reserve(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    queries.push_back(SchedQuery{i, arrivals[i], 1, 1});
+  }
+  return queries;
+}
+
 }  // namespace microrec::sched

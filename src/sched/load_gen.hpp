@@ -69,4 +69,9 @@ struct LoadGenConfig {
 /// never shifts when the size mix changes.
 std::vector<SchedQuery> GenerateLoad(const LoadGenConfig& config);
 
+/// One single-item, single-lookup query per arrival (ids 0..n-1 in stream
+/// order): the stream shape of a PoissonArrivals serving study.
+std::vector<SchedQuery> SingleItemQueries(
+    const std::vector<Nanoseconds>& arrivals);
+
 }  // namespace microrec::sched

@@ -46,6 +46,29 @@ class RoundRobinPolicy final : public SchedulingPolicy {
   std::size_t next_ = 0;
 };
 
+class SpillPolicy final : public SchedulingPolicy {
+ public:
+  SpillPolicy(std::size_t primary, std::size_t overflow,
+              Nanoseconds threshold_ns)
+      : primary_(primary), overflow_(overflow), threshold_ns_(threshold_ns) {}
+
+  std::string_view name() const override { return "spill"; }
+
+  std::size_t Route(
+      const SchedQuery& q,
+      const std::vector<std::unique_ptr<Backend>>& backends) override {
+    MICROREC_CHECK(primary_ < backends.size() && overflow_ < backends.size());
+    return backends[primary_]->QueueDepthNs(q.arrival_ns) > threshold_ns_
+               ? overflow_
+               : primary_;
+  }
+
+ private:
+  std::size_t primary_;
+  std::size_t overflow_;
+  Nanoseconds threshold_ns_;
+};
+
 /// Lowest predicted latency among accepting backends, lowest index on
 /// ties. Index 0 when the whole fleet is dark (the admit then sheds).
 std::size_t ArgminPredicted(
@@ -158,6 +181,12 @@ std::unique_ptr<SchedulingPolicy> MakeStaticPolicy(std::size_t backend_index,
 
 std::unique_ptr<SchedulingPolicy> MakeRoundRobinPolicy() {
   return std::make_unique<RoundRobinPolicy>();
+}
+
+std::unique_ptr<SchedulingPolicy> MakeSpillPolicy(std::size_t primary,
+                                                  std::size_t overflow,
+                                                  Nanoseconds threshold_ns) {
+  return std::make_unique<SpillPolicy>(primary, overflow, threshold_ns);
 }
 
 std::unique_ptr<SchedulingPolicy> MakeQueueDepthPolicy() {

@@ -6,10 +6,14 @@
 // order. Policies are deterministic: no wall clock, no randomness beyond
 // what the caller seeds, so a routed run replays bit for bit.
 //
-// Four families, in increasing awareness:
-//   static       -- all queries to one fixed backend (the pre-sched world,
-//                   and the baseline the headline result compares against)
+// Five families, in increasing awareness:
+//   static       -- all queries to one fixed backend (a single-path
+//                   server, and the baseline the headline result compares
+//                   against)
 //   round-robin  -- cycles the fleet, blind to state
+//   spill        -- one primary backend, an overflow backend once the
+//                   primary's backlog passes a threshold (the hybrid
+//                   CPU-spill fleet)
 //   queue-depth  -- argmin of predicted latency (backlog + modeled service)
 //   slo-aware    -- queue-depth prediction gated by an SLO burn-rate
 //                   feedback loop (see MakeSloAwarePolicy)
@@ -54,6 +58,14 @@ std::unique_ptr<SchedulingPolicy> MakeStaticPolicy(std::size_t backend_index,
                                                    std::string name);
 
 std::unique_ptr<SchedulingPolicy> MakeRoundRobinPolicy();
+
+/// Hybrid spill routing (DeepRecSys-style CPU spillover): a query stays on
+/// backends[primary] unless the primary's QueueDepthNs at its arrival
+/// exceeds `threshold_ns`, in which case it goes to backends[overflow] --
+/// trading the spilled query's latency for protecting the primary's tail.
+std::unique_ptr<SchedulingPolicy> MakeSpillPolicy(std::size_t primary,
+                                                  std::size_t overflow,
+                                                  Nanoseconds threshold_ns);
 
 /// Argmin of Backend::PredictLatency over accepting backends (lowest
 /// index on ties; falls back to index 0 if nothing accepts).

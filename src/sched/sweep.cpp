@@ -41,17 +41,58 @@ std::unique_ptr<SchedulingPolicy> MakeGridPolicy(
   }
 }
 
-}  // namespace
-
-SchedSweepResult RunSchedSweep(const SweepGridConfig& config) {
+void CheckGridConfig(const SweepGridConfig& config) {
   MICROREC_CHECK(config.queries >= 1);
   MICROREC_CHECK(config.qps > 0.0);
   MICROREC_CHECK(config.sla_ns > 0.0);
+}
 
-  // Expected run span; burst geometry and the fleet's fault windows scale
-  // with it so the sweep keeps its shape at any --queries/--qps.
-  const Nanoseconds span_ns =
-      static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
+/// Expected run span; burst geometry and the fleet's fault windows scale
+/// with it so the sweep keeps its shape at any --queries/--qps.
+Nanoseconds GridSpan(const SweepGridConfig& config) {
+  return static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
+}
+
+/// The grid's query stream for one arrival process.
+std::vector<SchedQuery> GridStream(const SweepGridConfig& config,
+                                   std::size_t process_index) {
+  const Nanoseconds span_ns = GridSpan(config);
+  LoadGenConfig load;
+  load.process = kProcesses[process_index];
+  load.rate_qps = config.qps;
+  load.num_queries = config.queries;
+  load.seed = exec::ParallelRunner::SubSeed(config.seed, process_index);
+  load.sizes = config.sizes;
+  load.burst_dwell_mean_ns = 0.07 * span_ns;
+  load.calm_dwell_mean_ns = 0.28 * span_ns;
+  load.flash_start_ns = 0.30 * span_ns;
+  load.flash_duration_ns = 0.20 * span_ns;
+  load.diurnal_period_ns = 0.50 * span_ns;
+  return GenerateLoad(load);
+}
+
+/// One grid point: a fresh standard fleet under the point's policy,
+/// through the event loop with the fault-tolerance layer off.
+FtSchedReport RunGridPoint(const SweepGridConfig& config,
+                           const std::vector<SchedQuery>& stream,
+                           std::size_t policy_index, obs::EventLog* log) {
+  FleetConfig fleet_config;
+  fleet_config.seed = config.seed;
+  fleet_config.horizon_ns = GridSpan(config);
+  fleet_config.lookups_per_item = config.sizes.lookups_per_item;
+  auto fleet = BuildStandardFleet(fleet_config);
+  auto policy = MakeGridPolicy(policy_index, config);
+  FtOptions ft;
+  ft.base.sla_ns = config.sla_ns;
+  ft.base.slo_objective = config.slo_objective;
+  ft.event_log = log;
+  return SimulateFaultTolerantServing(stream, fleet, *policy, ft);
+}
+
+}  // namespace
+
+SchedSweepResult RunSchedSweep(const SweepGridConfig& config) {
+  CheckGridConfig(config);
 
   // Per-process streams, generated serially up front and shared read-only
   // by that process's seven policy points (policies are compared on the
@@ -59,38 +100,16 @@ SchedSweepResult RunSchedSweep(const SweepGridConfig& config) {
   std::vector<std::vector<SchedQuery>> streams;
   streams.reserve(kNumProcesses);
   for (std::size_t pr = 0; pr < kNumProcesses; ++pr) {
-    LoadGenConfig load;
-    load.process = kProcesses[pr];
-    load.rate_qps = config.qps;
-    load.num_queries = config.queries;
-    load.seed = exec::ParallelRunner::SubSeed(config.seed, pr);
-    load.sizes = config.sizes;
-    load.burst_dwell_mean_ns = 0.07 * span_ns;
-    load.calm_dwell_mean_ns = 0.28 * span_ns;
-    load.flash_start_ns = 0.30 * span_ns;
-    load.flash_duration_ns = 0.20 * span_ns;
-    load.diurnal_period_ns = 0.50 * span_ns;
-    streams.push_back(GenerateLoad(load));
+    streams.push_back(GridStream(config, pr));
   }
-
-  SchedOptions options;
-  options.sla_ns = config.sla_ns;
-  options.slo_objective = config.slo_objective;
 
   exec::ParallelRunner runner(exec::ExecConfig::WithThreads(config.threads));
   const std::size_t grid_size = kNumProcesses * kNumPolicies;
   std::vector<SchedReport> reports =
       runner.Map(grid_size, [&](std::size_t p) {
-        const std::size_t process_index = p / kNumPolicies;
-        const std::size_t policy_index = p % kNumPolicies;
-        FleetConfig fleet_config;
-        fleet_config.seed = config.seed;
-        fleet_config.horizon_ns = span_ns;
-        fleet_config.lookups_per_item = config.sizes.lookups_per_item;
-        auto fleet = BuildStandardFleet(fleet_config);
-        auto policy = MakeGridPolicy(policy_index, config);
-        return SimulateScheduledServing(streams[process_index], fleet,
-                                        *policy, options);
+        return RunGridPoint(config, streams[p / kNumPolicies],
+                            p % kNumPolicies, /*log=*/nullptr)
+            .base;
       });
 
   SchedSweepResult result;
@@ -150,41 +169,11 @@ FtSchedReport RecordSchedSweepPoint(const SweepGridConfig& config,
                                     obs::EventLog& log) {
   MICROREC_CHECK(process_index < kNumProcesses);
   MICROREC_CHECK(policy_index < kNumPolicies);
-  MICROREC_CHECK(config.queries >= 1);
-  MICROREC_CHECK(config.qps > 0.0);
-  MICROREC_CHECK(config.sla_ns > 0.0);
-
-  // Exactly the grid's stream for this process (same sub-seed, same burst
-  // geometry) and the grid's fleet/policy construction.
-  const Nanoseconds span_ns =
-      static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
-  LoadGenConfig load;
-  load.process = kProcesses[process_index];
-  load.rate_qps = config.qps;
-  load.num_queries = config.queries;
-  load.seed = exec::ParallelRunner::SubSeed(config.seed, process_index);
-  load.sizes = config.sizes;
-  load.burst_dwell_mean_ns = 0.07 * span_ns;
-  load.calm_dwell_mean_ns = 0.28 * span_ns;
-  load.flash_start_ns = 0.30 * span_ns;
-  load.flash_duration_ns = 0.20 * span_ns;
-  load.diurnal_period_ns = 0.50 * span_ns;
-  const std::vector<SchedQuery> stream = GenerateLoad(load);
-
-  FleetConfig fleet_config;
-  fleet_config.seed = config.seed;
-  fleet_config.horizon_ns = span_ns;
-  fleet_config.lookups_per_item = config.sizes.lookups_per_item;
-  auto fleet = BuildStandardFleet(fleet_config);
-  auto policy = MakeGridPolicy(policy_index, config);
-
-  // The FT event loop with the whole layer off replays the base loop bit
-  // for bit, so this record's report matches the sweep's for the point.
-  FtOptions ft;
-  ft.base.sla_ns = config.sla_ns;
-  ft.base.slo_objective = config.slo_objective;
-  ft.event_log = &log;
-  return SimulateFaultTolerantServing(stream, fleet, *policy, ft);
+  CheckGridConfig(config);
+  // The grid's own per-point setup; recording never changes a run, so
+  // this report matches the sweep's record for the point exactly.
+  return RunGridPoint(config, GridStream(config, process_index),
+                      policy_index, &log);
 }
 
 }  // namespace microrec::sched

@@ -21,7 +21,6 @@
 #include "common/units.hpp"
 #include "sched/ft_scheduler.hpp"
 #include "sched/load_gen.hpp"
-#include "sched/scheduler.hpp"
 
 namespace microrec::sched {
 
@@ -73,16 +72,16 @@ struct SchedSweepResult {
   bool slo_beats_best_static_any = false;
 };
 
-/// Runs the full grid. Deterministic in (config minus threads): each
-/// process's stream generates from SubSeed(config.seed, process index),
-/// every point gets a fresh standard fleet, and all reduction happens in
-/// grid order.
+/// Runs the full grid. Every point runs the event loop with the
+/// fault-tolerance layer off. Deterministic in (config minus threads):
+/// each process's stream generates from SubSeed(config.seed, process
+/// index), every point gets a fresh standard fleet, and all reduction
+/// happens in grid order.
 SchedSweepResult RunSchedSweep(const SweepGridConfig& config);
 
-/// Re-runs one grid point (same stream, fleet, and policy as the grid
-/// would build) with a flight recorder attached, through the
-/// fault-tolerant event loop with the whole FT layer off -- bit-identical
-/// to the base loop (test-gated), so the recorded report matches the
+/// Re-runs one grid point through the grid's own per-point setup (same
+/// stream, fleet, and policy) with a flight recorder attached. Recording
+/// never changes a run (test-gated), so the recorded report matches the
 /// sweep's record for that point exactly. Backs `sched-sweep
 /// --record-events`.
 FtSchedReport RecordSchedSweepPoint(const SweepGridConfig& config,

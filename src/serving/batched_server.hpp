@@ -3,12 +3,12 @@
 // when full, or once its aggregation window has provably closed relative to
 // the advancing simulation clock.
 //
-// Promoted out of hybrid.cpp so the offline SimulateBatchedServer, the
-// hybrid CPU-spill fleet, and the sched/ batched-CPU Backend adapter all
-// run the identical batch-forming state machine. Assigning every query and
-// then calling Flush with final_flush = true reproduces the offline batch
-// simulator's completions exactly (same window-open / window-close / launch
-// arithmetic), which is how SimulateBatchedServer is now implemented.
+// The sched/ batched-CPU Backend adapter runs this state machine. Because
+// a batch launches only once its composition can no longer change, the
+// completions do not depend on when Flush is called: assigning every query
+// up front and then calling Flush with final_flush = true yields the same
+// completions as flushing as the clock advances (tests/sched_test.cpp
+// gates the adapter against that offline reference).
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,13 @@
 // Incremental state machine of one item-streaming MicroRec pipeline.
 //
-// Every simulator that models the accelerator's deep pipeline -- the
-// single-pipeline server, the replicated scale-out dispatcher, the
-// update-aware and fault-aware simulators, and the sched/ Backend adapters
-// -- advances the same two numbers: the earliest time the next item may
-// begin (one initiation interval after the previous start) and the per-item
-// latency added on top of the start. Centralizing that arithmetic here
-// means "the same pipeline" is the same floating-point expression
-// everywhere; SimulatePipelinedServer delegates to this class and its
-// pre-refactor results are reproduced bit for bit (tests/sched_test.cpp
-// gates the identity through the Backend adapters).
+// Every simulation that models the accelerator's deep pipeline -- the
+// sched/ pipeline and hot-cache backends, the update-aware and fault-aware
+// simulators -- advances the same two numbers: the earliest time the next
+// item may begin (one initiation interval after the previous start) and
+// the per-item latency added on top of the start. Centralizing that
+// arithmetic here means "the same pipeline" is the same floating-point
+// expression everywhere (tests/sched_test.cpp gates the Backend adapter
+// against the recurrence written out by hand).
 #pragma once
 
 #include <algorithm>

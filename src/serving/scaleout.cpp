@@ -2,51 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-
-#include "serving/pipeline_server.hpp"
 
 namespace microrec {
-
-StatusOr<ServingReport> SimulateReplicatedPipelines(
-    const std::vector<Nanoseconds>& arrivals, std::uint32_t replicas,
-    Nanoseconds item_latency_ns, Nanoseconds initiation_interval_ns,
-    Nanoseconds sla_ns) {
-  if (arrivals.empty()) {
-    return Status::InvalidArgument("replicated pipelines: no arrivals");
-  }
-  for (std::size_t i = 1; i < arrivals.size(); ++i) {
-    if (arrivals[i] < arrivals[i - 1]) {
-      return Status::InvalidArgument(
-          "replicated pipelines: arrivals are not nondecreasing at index " +
-          std::to_string(i));
-    }
-  }
-  if (replicas == 0) {
-    return Status::InvalidArgument(
-        "replicated pipelines: replicas must be >= 1");
-  }
-  if (item_latency_ns <= 0.0 || initiation_interval_ns <= 0.0) {
-    return Status::InvalidArgument(
-        "replicated pipelines: item latency and initiation interval must be "
-        "> 0");
-  }
-
-  std::vector<PipelineServer> pipelines(
-      replicas, PipelineServer(item_latency_ns, initiation_interval_ns));
-  std::vector<Nanoseconds> completions;
-  completions.reserve(arrivals.size());
-
-  for (const Nanoseconds arrival : arrivals) {
-    // Least-loaded dispatch: earliest NextStart, lowest index on ties.
-    std::uint32_t best = 0;
-    for (std::uint32_t k = 1; k < replicas; ++k) {
-      if (pipelines[k].NextStart() < pipelines[best].NextStart()) best = k;
-    }
-    completions.push_back(pipelines[best].Admit(arrival));
-  }
-  return SummarizeServing(arrivals, completions, sla_ns);
-}
 
 StatusOr<FleetPlan> ProvisionFleet(double target_qps,
                                    const DeviceClass& device,

@@ -1,28 +1,15 @@
-// Scale-out serving: multiple MicroRec pipelines behind a least-loaded
-// dispatcher, and fleet provisioning against a target load (an extension
-// of the paper's cost appendix: how many CPU servers vs FPGA cards does a
-// given traffic level need, and at what hourly cost?).
+// Fleet provisioning against a target load (an extension of the paper's
+// cost appendix: how many CPU servers vs FPGA cards does a given traffic
+// level need, and at what hourly cost?). The provisioned FPGA fleet is
+// served as a sched::PipelineBackend with one replica per card.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
-#include "serving/serving_sim.hpp"
 
 namespace microrec {
-
-/// Simulates `replicas` identical item-streaming pipelines with
-/// least-loaded dispatch: each query goes to the replica that can start it
-/// earliest. Latency per query = start - arrival + item_latency.
-/// Returns InvalidArgument on empty or non-monotonic arrivals,
-/// replicas == 0, or non-positive latency/interval -- recoverable input
-/// errors, not contract violations (these reach the CLI and config files).
-StatusOr<ServingReport> SimulateReplicatedPipelines(
-    const std::vector<Nanoseconds>& arrivals, std::uint32_t replicas,
-    Nanoseconds item_latency_ns, Nanoseconds initiation_interval_ns,
-    Nanoseconds sla_ns);
 
 /// One device class in a provisioning exercise.
 struct DeviceClass {

@@ -6,8 +6,6 @@
 
 #include "common/status.hpp"
 #include "obs/quantiles.hpp"
-#include "serving/batched_server.hpp"
-#include "serving/pipeline_server.hpp"
 
 namespace microrec {
 
@@ -76,48 +74,6 @@ ServingReport SummarizeServing(const std::vector<Nanoseconds>& arrivals,
   report.mean = sum / static_cast<double>(latencies.size());
   report.sla_violation_rate =
       static_cast<double>(violations) / static_cast<double>(arrivals.size());
-  return report;
-}
-
-ServingReport SimulateBatchedServer(const std::vector<Nanoseconds>& arrivals,
-                                    std::uint64_t max_batch,
-                                    Nanoseconds batch_timeout_ns,
-                                    const BatchLatencyFn& latency_fn,
-                                    Nanoseconds sla_ns) {
-  MICROREC_CHECK(!arrivals.empty());
-  MICROREC_CHECK(max_batch >= 1);
-
-  // Assign-all + final flush over the shared batch-forming state machine:
-  // with every query queued up front, the online server's window-open /
-  // window-close / launch arithmetic is the offline algorithm.
-  OnlineBatchedServer server(max_batch, batch_timeout_ns, latency_fn);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    server.Assign(i, arrivals[i]);
-  }
-  std::vector<std::pair<std::size_t, Nanoseconds>> done;
-  done.reserve(arrivals.size());
-  server.Flush(arrivals.back(), done, /*final_flush=*/true);
-
-  std::vector<Nanoseconds> completions(arrivals.size());
-  for (const auto& [query_id, completion] : done) {
-    completions[query_id] = completion;
-  }
-  return SummarizeServing(arrivals, completions, sla_ns);
-}
-
-ServingReport SimulatePipelinedServer(const std::vector<Nanoseconds>& arrivals,
-                                      Nanoseconds item_latency_ns,
-                                      Nanoseconds initiation_interval_ns,
-                                      Nanoseconds sla_ns,
-                                      std::vector<Nanoseconds>* completions_out) {
-  MICROREC_CHECK(!arrivals.empty());
-  std::vector<Nanoseconds> completions(arrivals.size());
-  PipelineServer pipeline(item_latency_ns, initiation_interval_ns);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    completions[i] = pipeline.Admit(arrivals[i]);
-  }
-  const ServingReport report = SummarizeServing(arrivals, completions, sla_ns);
-  if (completions_out != nullptr) *completions_out = std::move(completions);
   return report;
 }
 

@@ -5,7 +5,11 @@
 // paying batch-wait plus a batch-sized processing time against the SLA of
 // tens of milliseconds. MicroRec streams items through the pipeline with a
 // per-item initiation interval, so tail latency collapses to microseconds.
-// These simulators quantify that difference for a given arrival process.
+// The state machines behind both paths live in pipeline_server.hpp and
+// batched_server.hpp; the serving loop that drives them is
+// sched::SimulateFaultTolerantServing (a single-path server is a static
+// policy over one sched::Backend). This header holds what every serving
+// study shares: the arrival process and the percentile summary.
 #pragma once
 
 #include <cstdint>
@@ -39,33 +43,13 @@ struct ServingReport {
 };
 
 /// Builds the percentile report from per-query completion times. Shared by
-/// every serving simulator (including the update-aware one in update/) so
-/// reports are comparable field-for-field.
+/// every serving simulation (the scheduler, the update-aware and degraded
+/// simulators) so reports are comparable field-for-field.
 ServingReport SummarizeServing(const std::vector<Nanoseconds>& arrivals,
                                const std::vector<Nanoseconds>& completions,
                                Nanoseconds sla_ns);
 
 /// Latency of processing a batch of the given size (ns).
 using BatchLatencyFn = std::function<Nanoseconds(std::uint64_t batch)>;
-
-/// Simulates a single-executor server that collects up to `max_batch`
-/// queries (or waits at most `batch_timeout_ns` after the first pending
-/// query) and processes each batch in latency_fn(batch). A query's latency
-/// is its completion time minus its arrival.
-ServingReport SimulateBatchedServer(const std::vector<Nanoseconds>& arrivals,
-                                    std::uint64_t max_batch,
-                                    Nanoseconds batch_timeout_ns,
-                                    const BatchLatencyFn& latency_fn,
-                                    Nanoseconds sla_ns);
-
-/// Simulates the item-streaming pipeline: query i begins at
-/// max(arrival_i, start_{i-1} + initiation_interval) and completes
-/// item_latency later. When `completions_out` is non-null it receives the
-/// per-query completion times (for SLO evaluation); passing it changes no
-/// report field.
-ServingReport SimulatePipelinedServer(
-    const std::vector<Nanoseconds>& arrivals, Nanoseconds item_latency_ns,
-    Nanoseconds initiation_interval_ns, Nanoseconds sla_ns,
-    std::vector<Nanoseconds>* completions_out = nullptr);
 
 }  // namespace microrec

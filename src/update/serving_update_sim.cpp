@@ -6,6 +6,7 @@
 
 #include "common/stats.hpp"
 #include "common/status.hpp"
+#include "serving/pipeline_server.hpp"
 #include "update/replan.hpp"
 
 namespace microrec {
@@ -65,11 +66,15 @@ UpdateServingReport SimulateServingWithUpdates(
   };
 
   if (!updates_on) {
-    // Zero update rate short-circuits onto the exact no-update code path:
-    // same arithmetic, same summarizer, bit-for-bit identical report.
-    report.serving = SimulatePipelinedServer(
-        arrivals, config.item_latency_ns, config.initiation_interval_ns,
-        config.sla_ns, config.outcomes != nullptr ? &completions : nullptr);
+    // Zero update rate short-circuits onto the bare pipeline recurrence:
+    // no memsim, no delta stream, and the same arithmetic as a pipeline
+    // backend serving the stream alone.
+    PipelineServer pipeline(config.item_latency_ns,
+                            config.initiation_interval_ns);
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      completions[i] = pipeline.Admit(arrivals[i]);
+    }
+    report.serving = SummarizeServing(arrivals, completions, config.sla_ns);
     record_outcomes();
     return report;
   }

@@ -9,8 +9,9 @@
 // percentiles.
 //
 // Regression guarantee (tested): with update_row_qps == 0 the report is
-// bit-for-bit identical to SimulatePipelinedServer on the same arrivals —
-// the update machinery adds exactly nothing to the query path.
+// bit-for-bit identical to a one-replica sched::PipelineBackend serving the
+// same arrivals -- the update machinery adds exactly nothing to the query
+// path.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@
 namespace microrec {
 
 struct UpdateServingConfig {
-  // ---- Query pipeline (mirrors SimulatePipelinedServer) ----
+  // ---- Query pipeline (one serving/PipelineServer) ----
   Nanoseconds item_latency_ns = 0.0;
   Nanoseconds initiation_interval_ns = 0.0;
   Nanoseconds sla_ns = Milliseconds(30);

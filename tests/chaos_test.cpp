@@ -4,8 +4,9 @@
 // (obs/recovery), and the chaos sweep (sched/chaos) plus its CLI command.
 //
 // The load-bearing gates:
-//   * with every feature disabled the fault-tolerant scheduler replays
-//     SimulateScheduledServing bit for bit (the layer costs nothing off),
+//   * with every feature disabled the fault-tolerant scheduler replays a
+//     plain route-at-arrival reference loop bit for bit (the layer costs
+//     nothing off),
 //   * the never-drop invariant: every offered query ends served, shed, or
 //     timed out -- exactly one of them,
 //   * hedge determinism: the same seed yields the identical report,
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -34,26 +36,12 @@
 #include "sched/health.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/policy.hpp"
-#include "sched/scheduler.hpp"
+#include "serving/serving_sim.hpp"
 
 namespace microrec {
 namespace {
 
 // ---- Shared helpers -------------------------------------------------------
-
-std::vector<sched::SchedQuery> UnitQueries(
-    const std::vector<Nanoseconds>& arrivals) {
-  std::vector<sched::SchedQuery> queries;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    sched::SchedQuery q;
-    q.id = i;
-    q.arrival_ns = arrivals[i];
-    q.items = 1;
-    q.lookups_per_item = 1;
-    queries.push_back(q);
-  }
-  return queries;
-}
 
 std::unique_ptr<sched::Backend> MakePipeline(const std::string& name,
                                              Nanoseconds item_latency_ns,
@@ -87,6 +75,82 @@ std::vector<sched::SchedCompletion> RunThrough(
   std::vector<sched::SchedCompletion> out;
   backend.Finalize(out);
   return out;
+}
+
+/// Plain reference for the event loop with its whole layer off: route each
+/// query at its arrival, admit it unconditionally (a rejected admit is a
+/// shed), and feed completions back to the policy in (completion, id)
+/// order, then report with the shared summarizer and SLO evaluation.
+sched::SchedReport RouteAtArrivalReference(
+    const std::vector<sched::SchedQuery>& queries,
+    std::vector<std::unique_ptr<sched::Backend>>& fleet,
+    sched::SchedulingPolicy& policy, const sched::SchedOptions& options) {
+  sched::SchedReport report;
+  report.policy = std::string(policy.name());
+  for (const auto& backend : fleet) {
+    report.usage.push_back({std::string(backend->name()), 0, 0});
+  }
+  std::vector<bool> served(queries.size(), false);
+  std::vector<Nanoseconds> completion(queries.size(), 0.0);
+  std::vector<sched::SchedCompletion> step;
+  const auto deliver = [&] {
+    std::sort(step.begin(), step.end(), [](const auto& a, const auto& b) {
+      return a.completion_ns != b.completion_ns
+                 ? a.completion_ns < b.completion_ns
+                 : a.query_id < b.query_id;
+    });
+    for (const sched::SchedCompletion& c : step) {
+      served[c.query_id] = true;
+      completion[c.query_id] = c.completion_ns;
+      const Nanoseconds arrival = queries[c.query_id].arrival_ns;
+      policy.OnOutcome({arrival, c.completion_ns - arrival, true});
+    }
+    step.clear();
+  };
+  for (const sched::SchedQuery& q : queries) {
+    for (auto& backend : fleet) backend->Drain(q.arrival_ns, step);
+    deliver();
+    const std::size_t pick = policy.Route(q, fleet);
+    if (fleet[pick]->Admit(q)) {
+      ++report.usage[pick].queries;
+      report.usage[pick].items += q.items;
+    } else {
+      policy.OnOutcome({q.arrival_ns, 0.0, false});
+    }
+  }
+  for (auto& backend : fleet) backend->Finalize(step);
+  deliver();
+
+  std::vector<Nanoseconds> served_arrivals;
+  std::vector<Nanoseconds> served_completions;
+  std::vector<obs::QueryOutcome> outcomes;
+  for (const sched::SchedQuery& q : queries) {
+    obs::QueryOutcome outcome;
+    outcome.arrival_ns = q.arrival_ns;
+    outcome.served = served[q.id];
+    if (outcome.served) {
+      outcome.latency_ns = completion[q.id] - q.arrival_ns;
+      served_arrivals.push_back(q.arrival_ns);
+      served_completions.push_back(completion[q.id]);
+    }
+    outcomes.push_back(outcome);
+  }
+  report.offered = queries.size();
+  report.served = served_arrivals.size();
+  report.shed = report.offered - report.served;
+  report.availability = static_cast<double>(report.served) /
+                        static_cast<double>(report.offered);
+  if (!served_arrivals.empty()) {
+    report.serving =
+        SummarizeServing(served_arrivals, served_completions, options.sla_ns);
+  }
+  const Nanoseconds span =
+      queries.back().arrival_ns - queries.front().arrival_ns;
+  report.slo = obs::EvaluateSlo(
+      obs::SloSpec::Default(options.sla_ns, options.slo_objective,
+                            span > 0.0 ? span : 1.0),
+      outcomes);
+  return report;
 }
 
 void ExpectSameBaseReport(const sched::SchedReport& a,
@@ -206,7 +270,7 @@ TEST(BackendFaultModelTest, EmptyScheduleIsBitExactPassthrough) {
   EXPECT_TRUE(wrapped.Accepting(123.0));
   EXPECT_EQ(wrapped.QueueDepthNs(0.0), plain->QueueDepthNs(0.0));
 
-  const auto queries = UnitQueries({0.0, 10.0, 20.0});
+  const auto queries = sched::SingleItemQueries({0.0, 10.0, 20.0});
   const auto expected = RunThrough(*plain, queries);
   const auto got = RunThrough(wrapped, queries);
   ASSERT_EQ(got.size(), expected.size());
@@ -252,7 +316,7 @@ TEST(BackendFaultModelTest, BrownoutScalesResidenceTimeFromAdmit) {
           0));
   // Admitted inside the window: completion = admit + 3 x healthy residence.
   // Admitted after it: untouched.
-  const auto out = RunThrough(wrapped, UnitQueries({0.0, 2000.0}));
+  const auto out = RunThrough(wrapped, sched::SingleItemQueries({0.0, 2000.0}));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].completion_ns, 150.0);   // 0 + (50 - 0) * 3
   EXPECT_EQ(out[1].completion_ns, 2050.0);  // healthy
@@ -266,7 +330,7 @@ TEST(BackendFaultModelTest, StallDefersCompletionsToWindowEnd) {
       MakePipeline("p", 50.0, 10.0),
       sched::BackendFaultModel(
           OneEvent(FaultKind::kDmaStall, 0.0, 500.0, /*target=*/0), 0));
-  const auto out = RunThrough(wrapped, UnitQueries({0.0, 600.0}));
+  const auto out = RunThrough(wrapped, sched::SingleItemQueries({0.0, 600.0}));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].completion_ns, 500.0);  // 50 deferred to stall end
   EXPECT_EQ(out[1].completion_ns, 650.0);  // after the window: healthy
@@ -311,7 +375,7 @@ TEST(FtSchedulerTest, DisabledLayerMatchesBaseSchedulerBitForBit) {
 
   auto base_fleet = sched::BuildStandardFleet(SmallFleetConfig());
   auto base_policy = sched::MakeQueueDepthPolicy();
-  const sched::SchedReport base = sched::SimulateScheduledServing(
+  const sched::SchedReport base = RouteAtArrivalReference(
       stream, base_fleet, *base_policy, base_options);
 
   // Unwrapped fleet, every fault-tolerance feature off.
@@ -354,7 +418,7 @@ TEST(FtSchedulerTest, RetryReroutesToUntriedBackendAfterTimeout) {
 
   std::vector<Nanoseconds> arrivals;
   for (int i = 0; i < 10; ++i) arrivals.push_back(i * Microseconds(50));
-  const auto queries = UnitQueries(arrivals);
+  const auto queries = sched::SingleItemQueries(arrivals);
 
   auto policy = sched::MakeStaticPolicy(0, "static:a");
   sched::FtOptions options;
@@ -389,7 +453,7 @@ TEST(FtSchedulerTest, DeadlineTimesOutStuckQueriesExactlyOnce) {
 
   std::vector<Nanoseconds> arrivals;
   for (int i = 0; i < 10; ++i) arrivals.push_back(i * Microseconds(50));
-  const auto queries = UnitQueries(arrivals);
+  const auto queries = sched::SingleItemQueries(arrivals);
 
   auto policy = sched::MakeStaticPolicy(0, "static:a");
   sched::FtOptions options;
@@ -752,9 +816,9 @@ TEST(ChaosSweepTest, ZeroIntensityPointsMatchHealthyBaseScheduler) {
   const auto stream = sched::GenerateLoad(load);
   const Nanoseconds span =
       static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
-  sched::SchedOptions base_options;
-  base_options.sla_ns = config.sla_ns;
-  base_options.slo_objective = config.slo_objective;
+  sched::FtOptions healthy_options;
+  healthy_options.base.sla_ns = config.sla_ns;
+  healthy_options.base.slo_objective = config.slo_objective;
 
   const std::pair<std::size_t, std::size_t> checks[] = {
       {sched::kChaosStaticFpga, sched::kFleetFpga},
@@ -767,8 +831,11 @@ TEST(ChaosSweepTest, ZeroIntensityPointsMatchHealthyBaseScheduler) {
     auto policy = static_backend < sched::kFleetSize
                       ? sched::MakeStaticPolicy(static_backend, "static:fpga")
                       : sched::MakeQueueDepthPolicy();
-    const sched::SchedReport base = sched::SimulateScheduledServing(
-        stream, fleet, *policy, base_options);
+    // The unwrapped healthy fleet through the same loop, layer off.
+    const sched::SchedReport base =
+        sched::SimulateFaultTolerantServing(stream, fleet, *policy,
+                                            healthy_options)
+            .base;
     ExpectSameBaseReport(result.records[policy_index].report.base, base);
     EXPECT_TRUE(result.records[policy_index].recovery.windows.empty());
   }

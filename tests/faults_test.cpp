@@ -1,26 +1,25 @@
 // Tests for the fault-injection subsystem (src/faults/) and the retry
 // machinery it drives in the fpga host interface:
 //   * schedules validate their events and generate deterministically;
-//   * the injector rejects/degrades accesses through HybridMemorySystem
-//     without perturbing the healthy path;
 //   * failover routing never silently drops a lookup -- every lookup lands
 //     on a live bank or is counted as shed;
 //   * DMA retry/backoff timing is exactly bounded by the policy;
-//   * zero-fault degraded serving is field-for-field identical to the
-//     fault-free simulator.
+//   * zero-fault degraded serving is field-for-field identical to a
+//     fault-free pipeline pool with the same replica count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "faults/degraded_serving.hpp"
 #include "faults/failover.hpp"
-#include "faults/fault_injector.hpp"
 #include "faults/fault_schedule.hpp"
 #include "fpga/host_interface.hpp"
 #include "memsim/hybrid_memory.hpp"
 #include "placement/replication.hpp"
-#include "serving/scaleout.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "serving/serving_sim.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -164,66 +163,6 @@ TEST(FaultScheduleTest, EmptyConfigGeneratesEmptySchedule) {
   config.num_banks = 32;
   config.num_replicas = 4;  // all rates zero
   EXPECT_TRUE(GenerateFaultSchedule(config).value().empty());
-}
-
-// ---------------------------------------------------------------- Injector
-
-TEST(FaultInjectorTest, RejectsAccessesToFailedBank) {
-  const auto spec = MemoryPlatformSpec::AlveoU280();
-  HybridMemorySystem memory(spec);
-  const FaultSchedule schedule = FaultSchedule::FailChannels({0});
-  FaultInjector injector(&schedule);
-  memory.set_fault_model(&injector);
-
-  const std::vector<BankAccess> batch = {{0, 64, 100}, {1, 64, 101}};
-  const auto result = memory.IssueBatch(batch, 0.0);
-  ASSERT_EQ(result.rejected.size(), 1u);
-  EXPECT_EQ(result.rejected[0].bank, 0u);
-  EXPECT_EQ(result.rejected[0].tag, 100u);
-  ASSERT_EQ(result.completions.size(), 1u);
-  EXPECT_EQ(injector.stats().rejected_accesses, 1u);
-}
-
-TEST(FaultInjectorTest, DegradeMultipliesServiceTime) {
-  const auto spec = MemoryPlatformSpec::AlveoU280();
-  const std::vector<BankAccess> batch = {{0, 64, 0}};
-
-  HybridMemorySystem healthy(spec);
-  const Nanoseconds base = healthy.IssueBatch(batch, 0.0).latency_ns();
-
-  FaultSchedule schedule;
-  ASSERT_TRUE(schedule
-                  .Add(Event(FaultKind::kChannelDegrade, 0.0,
-                             kFaultNoRecovery, 0, 2.0))
-                  .ok());
-  HybridMemorySystem degraded(spec);
-  FaultInjector injector(&schedule);
-  degraded.set_fault_model(&injector);
-  EXPECT_DOUBLE_EQ(degraded.IssueBatch(batch, 0.0).latency_ns(), 2.0 * base);
-  EXPECT_EQ(injector.stats().degraded_accesses, 1u);
-}
-
-TEST(FaultInjectorTest, EmptyScheduleIsBitwiseIdentity) {
-  const auto spec = MemoryPlatformSpec::AlveoU280();
-  std::vector<BankAccess> batch;
-  for (std::uint32_t i = 0; i < 16; ++i) batch.push_back({i % 4, 128, i});
-
-  HybridMemorySystem plain(spec);
-  const auto baseline = plain.IssueBatch(batch, 5.0);
-
-  const FaultSchedule empty;
-  FaultInjector injector(&empty);
-  HybridMemorySystem injected(spec);
-  injected.set_fault_model(&injector);
-  const auto result = injected.IssueBatch(batch, 5.0);
-
-  EXPECT_TRUE(result.rejected.empty());
-  EXPECT_EQ(result.completion_ns, baseline.completion_ns);
-  ASSERT_EQ(result.completions.size(), baseline.completions.size());
-  for (std::size_t i = 0; i < result.completions.size(); ++i) {
-    EXPECT_EQ(result.completions[i].completion_ns,
-              baseline.completions[i].completion_ns);
-  }
 }
 
 // ---------------------------------------------------------------- Failover
@@ -463,11 +402,16 @@ TEST(DegradedServingTest, ZeroFaultIdentity) {
   const FaultSchedule empty;
   const auto report =
       SimulateDegradedServing(arrivals, config, empty).value();
-  const auto baseline =
-      SimulateReplicatedPipelines(arrivals, 2, config.item_latency_ns,
-                                  config.initiation_interval_ns,
-                                  config.sla_ns)
-          .value();
+  // A fault-free pipeline pool with the same replica count.
+  sched::PipelineBackendConfig pool;
+  pool.replicas = config.pipeline_replicas;
+  pool.item_latency_ns = config.item_latency_ns;
+  pool.initiation_interval_ns = config.initiation_interval_ns;
+  const ServingReport baseline =
+      sched::ServeOnBackend(arrivals,
+                            std::make_unique<sched::PipelineBackend>(pool),
+                            config.sla_ns)
+          .serving;
   EXPECT_EQ(report.availability, 1.0);
   EXPECT_EQ(report.shed_unservable, 0u);
   EXPECT_EQ(report.shed_admission, 0u);

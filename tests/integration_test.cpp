@@ -7,6 +7,8 @@
 #include "cpu/cpu_engine.hpp"
 #include "cpu/paper_baseline.hpp"
 #include "memsim/hybrid_memory.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "serving/serving_sim.hpp"
 #include "workload/model_zoo.hpp"
 #include "workload/query_gen.hpp"
@@ -183,9 +185,14 @@ TEST(IntegrationTest, ServingSimulationUsesEngineTiming) {
   auto engine = MicroRecEngine::Build(SmallProductionModel(), options);
   ASSERT_TRUE(engine.ok());
   const auto arrivals = PoissonArrivals(100'000.0, 5'000, 3);
-  const auto report = SimulatePipelinedServer(
-      arrivals, engine->ItemLatency(),
-      engine->timing().initiation_interval_ns, Milliseconds(30));
+  sched::PipelineBackendConfig pipeline;
+  pipeline.item_latency_ns = engine->ItemLatency();
+  pipeline.initiation_interval_ns = engine->timing().initiation_interval_ns;
+  const ServingReport report =
+      sched::ServeOnBackend(
+          arrivals, std::make_unique<sched::PipelineBackend>(pipeline),
+          Milliseconds(30))
+          .serving;
   EXPECT_DOUBLE_EQ(report.sla_violation_rate, 0.0);
   EXPECT_LT(report.p99, Microseconds(100));
 }

@@ -392,8 +392,7 @@ std::vector<BankAccess> RandomBatch(Rng& rng, std::uint32_t num_banks) {
 
 bool SameCompletions(const LookupBatchResult& a, const LookupBatchResult& b) {
   if (a.start_ns != b.start_ns || a.completion_ns != b.completion_ns ||
-      a.completions.size() != b.completions.size() ||
-      a.rejected.size() != b.rejected.size()) {
+      a.completions.size() != b.completions.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.completions.size(); ++i) {

@@ -1,18 +1,44 @@
-// Tests for replicated-pipeline serving and fleet provisioning.
+// Tests for replicated-pipeline serving (a sched::PipelineBackend with one
+// replica per card) and fleet provisioning.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+
+#include "cli/commands.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
+#include "serving/pipeline_server.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
 
 namespace microrec {
 namespace {
 
+ServingReport Replicated(const std::vector<Nanoseconds>& arrivals,
+                         std::uint32_t replicas, Nanoseconds item_latency_ns,
+                         Nanoseconds ii_ns, Nanoseconds sla_ns) {
+  sched::PipelineBackendConfig config;
+  config.replicas = replicas;
+  config.item_latency_ns = item_latency_ns;
+  config.initiation_interval_ns = ii_ns;
+  return sched::ServeOnBackend(
+             arrivals, std::make_unique<sched::PipelineBackend>(config),
+             sla_ns)
+      .serving;
+}
+
 TEST(ReplicatedPipelinesTest, OneReplicaMatchesSinglePipeline) {
   const auto arrivals = PoissonArrivals(50'000.0, 5'000, 3);
-  const auto single = SimulatePipelinedServer(arrivals, 20'000.0, 3'300.0,
-                                              Milliseconds(30));
-  const auto replicated = SimulateReplicatedPipelines(
-      arrivals, 1, 20'000.0, 3'300.0, Milliseconds(30)).value();
+  PipelineServer pipeline(20'000.0, 3'300.0);
+  std::vector<Nanoseconds> completions;
+  for (const Nanoseconds arrival : arrivals) {
+    completions.push_back(pipeline.Admit(arrival));
+  }
+  const auto single =
+      SummarizeServing(arrivals, completions, Milliseconds(30));
+  const auto replicated =
+      Replicated(arrivals, 1, 20'000.0, 3'300.0, Milliseconds(30));
   EXPECT_DOUBLE_EQ(replicated.p99, single.p99);
   EXPECT_DOUBLE_EQ(replicated.max, single.max);
 }
@@ -22,10 +48,10 @@ TEST(ReplicatedPipelinesTest, ReplicasAbsorbOverload) {
   // keep latency flat.
   const double capacity = kNanosPerSecond / 3'300.0;  // ~3e5 items/s
   const auto arrivals = PoissonArrivals(1.8 * capacity, 60'000, 5);
-  const auto one = SimulateReplicatedPipelines(arrivals, 1, 20'000.0, 3'300.0,
-                                               Milliseconds(30)).value();
-  const auto two = SimulateReplicatedPipelines(arrivals, 2, 20'000.0, 3'300.0,
-                                               Milliseconds(30)).value();
+  const auto one =
+      Replicated(arrivals, 1, 20'000.0, 3'300.0, Milliseconds(30));
+  const auto two =
+      Replicated(arrivals, 2, 20'000.0, 3'300.0, Milliseconds(30));
   EXPECT_GT(one.p99, Milliseconds(1));
   EXPECT_LT(two.p99, Microseconds(200));
   EXPECT_GT(one.sla_violation_rate, 0.5);
@@ -36,8 +62,8 @@ TEST(ReplicatedPipelinesTest, LatencyNonIncreasingInReplicas) {
   const auto arrivals = PoissonArrivals(500'000.0, 20'000, 7);
   Nanoseconds prev = 1e18;
   for (std::uint32_t replicas : {1u, 2u, 4u, 8u}) {
-    const auto report = SimulateReplicatedPipelines(
-        arrivals, replicas, 20'000.0, 3'300.0, Milliseconds(30)).value();
+    const auto report =
+        Replicated(arrivals, replicas, 20'000.0, 3'300.0, Milliseconds(30));
     EXPECT_LE(report.p99, prev + 1.0) << replicas;
     prev = report.p99;
   }
@@ -45,9 +71,8 @@ TEST(ReplicatedPipelinesTest, LatencyNonIncreasingInReplicas) {
 
 TEST(ReplicatedPipelinesTest, UnloadedLatencyIsItemLatency) {
   std::vector<Nanoseconds> arrivals = {0.0, 1e9, 2e9};
-  const auto report = SimulateReplicatedPipelines(arrivals, 4, 20'000.0,
-                                                  3'300.0, Milliseconds(30))
-                          .value();
+  const auto report =
+      Replicated(arrivals, 4, 20'000.0, 3'300.0, Milliseconds(30));
   EXPECT_DOUBLE_EQ(report.max, 20'000.0);
 }
 
@@ -80,28 +105,35 @@ TEST(ProvisionFleetTest, FpgaFleetCheaperThanCpuAtPaperNumbers) {
 }
 
 // ---- Bug-hardening: recoverable input errors return Status, they do not
-// divide by zero or silently mis-report (ISSUE 2 satellite) ----
+// divide by zero or silently mis-report ----
 
 TEST(ScaleoutHardeningTest, RejectsDegenerateInputs) {
-  const auto arrivals = PoissonArrivals(10'000.0, 100, 3);
-  EXPECT_FALSE(SimulateReplicatedPipelines({}, 2, 20'000.0, 3'300.0,
-                                           Milliseconds(30))
-                   .ok());
-  EXPECT_FALSE(SimulateReplicatedPipelines(arrivals, 0, 20'000.0, 3'300.0,
-                                           Milliseconds(30))
-                   .ok());
-  EXPECT_FALSE(SimulateReplicatedPipelines(arrivals, 2, 0.0, 3'300.0,
-                                           Milliseconds(30))
-                   .ok());
+  // The scale-out study's input boundary is the `scaleout` command: a
+  // degenerate sweep comes back as a Status, never a zero-card fleet or an
+  // empty stream reaching the simulation.
+  const std::string model_path =
+      ::testing::TempDir() + "scaleout_hardening_model.txt";
+  std::ostringstream out;
+  ASSERT_TRUE(
+      cli::RunCli({"modelgen", "small", "--out", model_path}, out).ok());
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--queries", "0"},
+        std::vector<std::string>{"--points", "0"},
+        std::vector<std::string>{"--qps-min", "0"},
+        std::vector<std::string>{"--sla-us", "0"}}) {
+    std::vector<std::string> args = {"scaleout", model_path};
+    args.insert(args.end(), bad.begin(), bad.end());
+    EXPECT_FALSE(cli::RunCli(args, out).ok()) << bad[0];
+  }
 }
 
 TEST(ScaleoutHardeningTest, RejectsNonMonotonicArrivals) {
-  std::vector<Nanoseconds> backwards = {0.0, 500.0, 400.0, 900.0};
-  const auto result = SimulateReplicatedPipelines(backwards, 2, 20'000.0,
-                                                  3'300.0, Milliseconds(30));
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("nondecreasing"),
-            std::string::npos);
+  // Below the CLI the serving loop's input contract is a nondecreasing
+  // stream: a backwards one aborts instead of being served out of order.
+  const std::vector<Nanoseconds> backwards = {0.0, 500.0, 400.0, 900.0};
+  EXPECT_DEATH(
+      Replicated(backwards, 2, 20'000.0, 3'300.0, Milliseconds(30)),
+      "MICROREC_CHECK");
 }
 
 TEST(ProvisionFleetTest, RejectsZeroThroughputDevice) {

@@ -3,11 +3,13 @@
 //     PoissonArrivals, bursty processes concentrate arrivals where their
 //     rate envelopes say, and size mixes never shift arrival times;
 //   * the Backend adapters are zero-overhead: routing a whole stream to
-//     one backend reproduces the pre-sched simulator (pipelined, batched,
-//     replicated) field for field;
-//   * policies route as documented (round-robin cycles, queue-depth picks
-//     the argmin, slo-aware offloads only once the fast path's occupancy
-//     gate trips, degraded pools shed only while fully down);
+//     one backend reproduces its state machine's own recurrence (the
+//     pipeline written out by hand, the batched server with every query
+//     assigned up front) bit for bit;
+//   * policies route as documented (round-robin cycles, spill leaves the
+//     primary only past its threshold, queue-depth picks the argmin,
+//     slo-aware offloads only once the fast path's occupancy gate trips,
+//     degraded pools shed only while fully down);
 //   * the sweep grid is byte-identical across thread counts and its
 //     headline rows are consistent with the grid records.
 #include <gtest/gtest.h>
@@ -23,11 +25,11 @@
 #include "sched/backend.hpp"
 #include "sched/backends.hpp"
 #include "sched/fleet.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/policy.hpp"
-#include "sched/scheduler.hpp"
 #include "sched/sweep.hpp"
-#include "serving/scaleout.hpp"
+#include "serving/batched_server.hpp"
 #include "serving/serving_sim.hpp"
 
 namespace microrec::sched {
@@ -41,6 +43,28 @@ std::vector<SchedQuery> UnitQueries(const std::vector<Nanoseconds>& arrivals,
     queries.push_back(SchedQuery{i, arrivals[i], 1, lookups_per_item});
   }
   return queries;
+}
+
+/// The item-streaming recurrence written out by hand for R replicas with
+/// least-loaded dispatch (earliest next start, lowest index on ties): a
+/// query starts at max(arrival, prev_start + II) on its replica and is
+/// done L later.
+std::vector<Nanoseconds> PipelineRecurrence(
+    const std::vector<Nanoseconds>& arrivals, std::uint32_t replicas,
+    Nanoseconds item_latency_ns, Nanoseconds ii_ns) {
+  std::vector<Nanoseconds> next_start(replicas, 0.0);
+  std::vector<Nanoseconds> done;
+  done.reserve(arrivals.size());
+  for (const Nanoseconds arrival : arrivals) {
+    std::uint32_t best = 0;
+    for (std::uint32_t k = 1; k < replicas; ++k) {
+      if (next_start[k] < next_start[best]) best = k;
+    }
+    const Nanoseconds start = std::max(arrival, next_start[best]);
+    next_start[best] = start + ii_ns;
+    done.push_back(start + item_latency_ns);
+  }
+  return done;
 }
 
 /// Runs every query through one backend and scatters completions by id.
@@ -207,10 +231,9 @@ TEST(SchedBackendTest, PipelineBackendMatchesPipelinedServerBitForBit) {
   PipelineBackend backend(config);
   const auto completions = RunThrough(backend, UnitQueries(arrivals));
 
-  std::vector<Nanoseconds> expected;
-  SimulatePipelinedServer(arrivals, config.item_latency_ns,
-                          config.initiation_interval_ns, Milliseconds(1),
-                          &expected);
+  const auto expected =
+      PipelineRecurrence(arrivals, 1, config.item_latency_ns,
+                         config.initiation_interval_ns);
   ASSERT_EQ(completions.size(), expected.size());
   for (std::size_t i = 0; i < completions.size(); ++i) {
     EXPECT_EQ(completions[i], expected[i]) << "query " << i;
@@ -227,11 +250,11 @@ TEST(SchedBackendTest, PipelineBackendMatchesReplicatedPipelines) {
   const auto completions = RunThrough(backend, UnitQueries(arrivals));
   const Nanoseconds sla = Milliseconds(1);
   const auto ours = SummarizeServing(arrivals, completions, sla);
-  const auto expected =
-      SimulateReplicatedPipelines(arrivals, config.replicas,
-                                  config.item_latency_ns,
-                                  config.initiation_interval_ns, sla)
-          .value();
+  const auto expected = SummarizeServing(
+      arrivals,
+      PipelineRecurrence(arrivals, config.replicas, config.item_latency_ns,
+                         config.initiation_interval_ns),
+      sla);
   ExpectSameReport(ours, expected);
 }
 
@@ -249,17 +272,27 @@ TEST(SchedBackendTest, CpuBackendMatchesBatchedServerBitForBit) {
   const auto completions = RunThrough(backend, UnitQueries(arrivals, 8));
   const Nanoseconds sla = Milliseconds(10);
   const auto ours = SummarizeServing(arrivals, completions, sla);
-  const auto expected = SimulateBatchedServer(
-      arrivals, config.max_batch, config.batch_timeout_ns,
-      [&](std::uint64_t batch) {
+
+  // Offline reference: the batch-forming state machine with every query
+  // assigned up front and then one final flush.
+  OnlineBatchedServer server(
+      config.max_batch, config.batch_timeout_ns, [&](std::uint64_t batch) {
         return config.fixed_overhead_ns +
                static_cast<double>(batch) *
                    (config.per_item_ns +
                     static_cast<double>(config.lookups_per_item) *
                         config.per_lookup_ns);
-      },
-      sla);
-  ExpectSameReport(ours, expected);
+      });
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    server.Assign(i, arrivals[i]);
+  }
+  std::vector<std::pair<std::size_t, Nanoseconds>> done;
+  server.Flush(arrivals.back(), done, /*final_flush=*/true);
+  std::vector<Nanoseconds> offline(arrivals.size(), 0.0);
+  for (const auto& [query_id, completion] : done) {
+    offline[query_id] = completion;
+  }
+  ExpectSameReport(ours, SummarizeServing(arrivals, offline, sla));
 }
 
 TEST(SchedBackendTest, DrainSurfacesOnlyElapsedCompletionsInOrder) {
@@ -286,7 +319,7 @@ TEST(SchedBackendTest, DrainSurfacesOnlyElapsedCompletionsInOrder) {
 }
 
 TEST(SchedBackendTest, DegradedPoolShedsOnlyWhileEveryReplicaIsDown) {
-  DegradedBackendConfig config;
+  PipelineBackendConfig config;
   config.replicas = 2;
   config.item_latency_ns = 1'000.0;
   config.initiation_interval_ns = 100.0;
@@ -301,7 +334,7 @@ TEST(SchedBackendTest, DegradedPoolShedsOnlyWhileEveryReplicaIsDown) {
   crash1.end_ns = 4'000.0;
   ASSERT_TRUE(config.faults.Add(crash0).ok());
   ASSERT_TRUE(config.faults.Add(crash1).ok());
-  DegradedPoolBackend backend(config);
+  PipelineBackend backend(config);
 
   EXPECT_TRUE(backend.Accepting(0.0));    // both up
   EXPECT_TRUE(backend.Accepting(1'500.0));  // replica 1 still up
@@ -380,6 +413,23 @@ TEST(SchedPolicyTest, RoundRobinCyclesTheFleet) {
   EXPECT_EQ(picks, (std::vector<std::size_t>{0, 1, 0, 1, 0, 1}));
 }
 
+TEST(SchedPolicyTest, SpillLeavesThePrimaryOnlyPastItsThreshold) {
+  auto fleet = TwoPipelineFleet();
+  auto policy = MakeSpillPolicy(/*primary=*/0, /*overflow=*/1,
+                                /*threshold_ns=*/2'500.0);
+  EXPECT_EQ(policy->name(), "spill");
+  // Idle primary: stay.
+  EXPECT_EQ(policy->Route(SchedQuery{0, 0.0, 1, 1}, fleet), 0u);
+  // Backlog of exactly the threshold (the fast pipeline's II is 1 us, so
+  // three queued items leave 2.5 us at t = 0.5 us): still the primary.
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fleet[0]->Admit(SchedQuery{i + 1, 0.0, 1, 1}));
+  }
+  EXPECT_EQ(policy->Route(SchedQuery{10, 500.0, 1, 1}, fleet), 0u);
+  // One nanosecond earlier the backlog is past the threshold: spill.
+  EXPECT_EQ(policy->Route(SchedQuery{11, 499.0, 1, 1}, fleet), 1u);
+}
+
 TEST(SchedPolicyTest, QueueDepthPicksTheLowestPredictedLatency) {
   auto fleet = TwoPipelineFleet();
   auto policy = MakeQueueDepthPolicy();
@@ -437,8 +487,8 @@ TEST(SchedPolicyTest, SloAwareChargesTheQuerysOwnSizeAgainstTheGate) {
 TEST(SchedServingTest, StaticFpgaReproducesReplicatedPipelinesExactly) {
   // The zero-overhead identity gate: the whole sched stack (load gen ->
   // policy -> Backend adapter -> completion merge -> report) must
-  // reproduce the pre-sched simulator bit for bit when every query takes
-  // the single-backend path.
+  // reproduce the replicated-pipeline recurrence bit for bit when every
+  // query takes the single-backend path.
   LoadGenConfig load;
   load.process = ArrivalProcess::kPoisson;
   load.rate_qps = 600'000.0;
@@ -450,19 +500,19 @@ TEST(SchedServingTest, StaticFpgaReproducesReplicatedPipelinesExactly) {
   fleet_config.horizon_ns = queries.back().arrival_ns;
   auto fleet = BuildStandardFleet(fleet_config);
   auto policy = MakeStaticPolicy(kFleetFpga, "static:fpga");
-  SchedOptions options;
-  options.sla_ns = Milliseconds(2);
-  const auto report =
-      SimulateScheduledServing(queries, fleet, *policy, options);
+  FtOptions options;
+  options.base.sla_ns = Milliseconds(2);
+  const SchedReport report =
+      SimulateFaultTolerantServing(queries, fleet, *policy, options).base;
 
   const auto arrivals = PoissonArrivals(load.rate_qps, load.num_queries,
                                         load.seed);
-  const auto expected =
-      SimulateReplicatedPipelines(arrivals, fleet_config.fpga_replicas,
-                                  fleet_config.fpga_item_latency_ns,
-                                  fleet_config.fpga_initiation_interval_ns,
-                                  options.sla_ns)
-          .value();
+  const auto expected = SummarizeServing(
+      arrivals,
+      PipelineRecurrence(arrivals, fleet_config.fpga_replicas,
+                         fleet_config.fpga_item_latency_ns,
+                         fleet_config.fpga_initiation_interval_ns),
+      options.base.sla_ns);
   EXPECT_EQ(report.offered, load.num_queries);
   EXPECT_EQ(report.served, load.num_queries);
   EXPECT_EQ(report.availability, 1.0);
@@ -484,10 +534,10 @@ TEST(SchedServingTest, ShedQueriesCountAgainstAvailabilityAndSlo) {
   fleet_config.horizon_ns = queries.back().arrival_ns;
   auto fleet = BuildStandardFleet(fleet_config);
   auto policy = MakeStaticPolicy(kFleetDegraded, "static:degraded");
-  SchedOptions options;
-  options.sla_ns = Milliseconds(2);
-  const auto report =
-      SimulateScheduledServing(queries, fleet, *policy, options);
+  FtOptions options;
+  options.base.sla_ns = Milliseconds(2);
+  const SchedReport report =
+      SimulateFaultTolerantServing(queries, fleet, *policy, options).base;
   // The standard fleet's degraded pool has crash windows inside the
   // horizon, so a policy pinned to it must shed.
   EXPECT_GT(report.shed, 0u);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,8 @@
 #include "embedding/cartesian.hpp"
 #include "embedding/embedding_table.hpp"
 #include "placement/heuristic.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "serving/serving_sim.hpp"
 #include "update/delta_stream.hpp"
 #include "update/replan.hpp"
@@ -562,8 +565,16 @@ TEST(UpdateServing, ZeroUpdateRateMatchesPipelinedServerBitForBit) {
   config.deltas.update_row_qps = 0.0;
   const auto report = SimulateServingWithUpdates(
       ctx.model, ctx.plan, ctx.options.platform, arrivals, config);
-  const auto baseline = SimulatePipelinedServer(arrivals, ctx.item_latency,
-                                               ctx.ii, config.sla_ns);
+  // The same pipeline served as a one-replica backend through the event
+  // loop.
+  sched::PipelineBackendConfig pipeline;
+  pipeline.item_latency_ns = ctx.item_latency;
+  pipeline.initiation_interval_ns = ctx.ii;
+  const ServingReport baseline =
+      sched::ServeOnBackend(
+          arrivals, std::make_unique<sched::PipelineBackend>(pipeline),
+          config.sla_ns)
+          .serving;
 
   EXPECT_EQ(report.serving.queries, baseline.queries);
   EXPECT_EQ(report.serving.offered_qps, baseline.offered_qps);

@@ -43,6 +43,10 @@ if [[ -z "$out" ]]; then
   trap 'rm -rf "$out"' EXIT
 fi
 mkdir -p "$out"
+# The benches run from inside $out, so a relative build or out dir (e.g.
+# `build perfgate-out`) must be resolved before the subshell changes into it.
+build="$(cd "$build" && pwd)"
+out="$(cd "$out" && pwd)"
 
 # Each bench writes BENCH_<name>.json into its working directory.
 (
