@@ -7,6 +7,11 @@
 //      optimized path must be >= 2x the reference at batch 256 or the
 //      bench FAILS (the perf gate also hard-compares the bool).
 //
+//      It also times batch 256 on a min(hardware, 4)-thread engine beside
+//      the 1-thread engine: on a host with >= 4 hardware threads the
+//      sharded engine must reach >= 1.5x the 1-thread q/s or the bench
+//      FAILS (`cpu_thread_scaling_ge_1p5`, hard-compared).
+//
 //   2. The parallel experiment engine -- how many simulated queries per
 //      wall-second does a fixed update-rate sweep sustain at 1/2/4/8
 //      worker threads, and does every thread count reproduce the 1-thread
@@ -28,6 +33,7 @@
 // with >= 8 hardware threads -- on smaller machines (including single-core
 // CI containers, where threading physically cannot pay) the measured
 // numbers are still printed and recorded in BENCH_wallclock.json.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -110,6 +116,58 @@ void MeasureLatencyPercentiles(CpuEngine& engine,
   p.p99_us = prof.batch_latency().Quantile(0.99) / 1e3;
 }
 
+/// Batch-256 engine throughput at 1 thread and at `threads` threads.
+struct CpuScaling {
+  std::size_t threads = 1;
+  double qps_1t = 0.0;
+  double qps_nt = 0.0;
+  bool identical = true;  ///< N-thread outputs equal 1-thread, bit for bit
+
+  double ratio() const { return qps_1t > 0.0 ? qps_nt / qps_1t : 0.0; }
+};
+
+Nanoseconds MedianOf(std::vector<Nanoseconds> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// Times batch 256 on a 1-thread and a `threads`-thread engine over the
+/// same tables and inputs. Batches alternate between the two engines, and
+/// so does which one goes first, so a slow spell on a shared host hits
+/// both alike; each rate is 256 / its median batch time.
+CpuScaling MeasureThreadScaling(const RecModelSpec& model,
+                                std::size_t threads) {
+  constexpr std::size_t kBatch = 256;
+  constexpr int kReps = 31;
+  const CpuEngine one(model, /*max_physical_rows=*/1ull << 16);
+  const CpuEngine many(model, /*max_physical_rows=*/1ull << 16,
+                       FrameworkOverheadParams{}, threads);
+  QueryGenerator gen(model, IndexDistribution::kUniform, 17);
+  const auto queries = gen.NextBatch(kBatch);
+  InferenceScratch scratch_one;
+  InferenceScratch scratch_many;
+  const auto run_one = [&] { one.InferBatch(queries, scratch_one); };
+  const auto run_many = [&] { many.InferBatch(queries, scratch_many); };
+  std::vector<Nanoseconds> ns_one;
+  std::vector<Nanoseconds> ns_many;
+  for (int rep = -1; rep < kReps; ++rep) {  // rep -1 warms both up
+    const bool one_first = rep % 2 == 0;
+    Nanoseconds a = one_first ? bench::TimeOnce(run_one) : 0.0;
+    const Nanoseconds b = bench::TimeOnce(run_many);
+    if (!one_first) a = bench::TimeOnce(run_one);
+    if (rep < 0) continue;
+    ns_one.push_back(a);
+    ns_many.push_back(b);
+  }
+  CpuScaling s;
+  s.threads = threads;
+  s.qps_1t = static_cast<double>(kBatch) / (MedianOf(ns_one) / 1e9);
+  s.qps_nt = static_cast<double>(kBatch) / (MedianOf(ns_many) / 1e9);
+  s.identical = std::ranges::equal(one.InferBatch(queries, scratch_one),
+                                   many.InferBatch(queries, scratch_many));
+  return s;
+}
+
 }  // namespace
 
 int main() {
@@ -166,6 +224,20 @@ int main() {
     cpu_table.Print();
   }
 
+  const CpuScaling scaling = MeasureThreadScaling(
+      cpu_model, std::min<std::size_t>(exec::DefaultThreads(), 4));
+  {
+    TablePrinter scaling_table({"Batch", "Threads", "1-thread q/s",
+                                "N-thread q/s", "Scaling", "Bit-identical"});
+    scaling_table.AddRow({"256", std::to_string(scaling.threads),
+                          TablePrinter::Sci(scaling.qps_1t, 2),
+                          TablePrinter::Sci(scaling.qps_nt, 2),
+                          TablePrinter::Num(scaling.ratio(), 2) + "x",
+                          scaling.identical ? "yes" : "NO"});
+    scaling_table.Print();
+  }
+  cpu_match = cpu_match && scaling.identical;
+
   bench::PrintHeader(
       "Parallel experiment engine: simulated queries per wall-second",
       "perf extension (deterministic sweep parallelism, DESIGN.md s11)");
@@ -217,7 +289,9 @@ int main() {
   bench::JsonReport json("wallclock");
   json.MarkVolatile({"wall_ms", "sim_queries_per_wall_s", "speedup_vs_1t",
                      "ref_qps", "opt_qps", "speedup", "hardware_threads",
-                     "opt_p50_us", "opt_p95_us", "opt_p99_us", "prof_*"});
+                     "opt_p50_us", "opt_p95_us", "opt_p99_us",
+                     "cpu_scaling_threads", "cpu_1t_qps", "cpu_nt_qps",
+                     "cpu_thread_scaling", "prof_*"});
   json.Meta("sweep_points", static_cast<std::uint64_t>(points.size()));
   json.Meta("queries_per_point", kQueries);
   json.Meta("hardware_threads",
@@ -274,6 +348,16 @@ int main() {
   // host difference to the perf gate).
   const bool cpu_gate = !avx2 || cpu_speedup_256 >= 2.0;
   json.Meta("cpu_speedup_batch256_ge_2", cpu_gate);
+  // Sharding a batch over the pool must pay off where there are cores to
+  // pay with. 1.5x, not linear: the gather shares the host's memory
+  // bandwidth, and a shared host's neighbours take cycles at random.
+  json.Meta("cpu_scaling_threads", static_cast<std::uint64_t>(scaling.threads));
+  json.Meta("cpu_1t_qps", scaling.qps_1t);
+  json.Meta("cpu_nt_qps", scaling.qps_nt);
+  json.Meta("cpu_thread_scaling", scaling.ratio());
+  const bool scaling_gate =
+      exec::DefaultThreads() < 4 || scaling.ratio() >= 1.5;
+  json.Meta("cpu_thread_scaling_ge_1p5", scaling_gate);
 
   // -------------------------------- hardware phase attribution (obs/prof/)
   bench::PrintHeader(
@@ -285,8 +369,26 @@ int main() {
 
   if (!cpu_match) {
     std::printf("FAIL: optimized CPU path diverged from the reference "
-                "path beyond 4 ULP\n");
+                "path beyond 4 ULP, or a %zu-thread engine from the "
+                "1-thread engine\n",
+                scaling.threads);
     return 1;
+  }
+  if (exec::DefaultThreads() >= 4) {
+    if (!scaling_gate) {
+      std::printf("FAIL: expected >= 1.5x engine q/s at %zu threads vs 1 "
+                  "thread on this %zu-thread host, measured %.2fx\n",
+                  scaling.threads, exec::DefaultThreads(), scaling.ratio());
+      return 1;
+    }
+    std::printf("engine thread scaling at batch 256: %.2fx at %zu threads "
+                "(>= 1.5x gate passed)\n",
+                scaling.ratio(), scaling.threads);
+  } else {
+    std::printf("note: host has %zu hardware thread(s); the >= 1.5x engine "
+                "thread-scaling gate needs >= 4 and was not enforced "
+                "(measured %.2fx)\n",
+                exec::DefaultThreads(), scaling.ratio());
   }
   if (avx2) {
     if (!cpu_gate) {

@@ -7,6 +7,21 @@
 
 namespace microrec {
 
+/// One ParallelFor call, owned by the calling thread's stack frame. The
+/// shape fields are fixed before the job is published; the rest is
+/// guarded by the pool mutex.
+struct ThreadPool::Job {
+  ShardFn fn;
+  std::size_t count = 0;
+  std::size_t grain = 0;
+  std::size_t shards = 0;
+  std::size_t claimed = 0;   ///< shards handed to a worker
+  std::size_t finished = 0;  ///< shards that returned or threw
+  std::exception_ptr error = nullptr;  ///< from the lowest failing shard
+  std::size_t error_shard = 0;
+  Job* next = nullptr;
+};
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   MICROREC_CHECK(num_threads >= 1);
   workers_.reserve(num_threads);
@@ -20,73 +35,60 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  ParallelFor(count, /*grain=*/0, fn);
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::Run(std::size_t count, std::size_t grain, ShardFn fn) {
   if (count == 0) return;
-  const std::size_t default_chunk =
-      (count + workers_.size() - 1) / workers_.size();
-  const std::size_t chunk = std::max<std::size_t>(
-      {std::size_t{1}, grain, default_chunk});
-  if (chunk >= count) {
-    // Single shard: run inline on the caller instead of round-tripping
-    // through the queue. Besides latency this keeps the hot inference path
-    // allocation-free (Submit allocates a packaged_task + future).
+  const std::size_t workers = workers_.size();
+  if (grain == 0) grain = count / workers + (count % workers != 0);
+  const std::size_t shards = count / grain + (count % grain != 0);
+  if (shards == 1) {
     fn(0, count);
     return;
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve((count + chunk - 1) / chunk);
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(count, begin + chunk);
-    futures.push_back(Submit([&fn, begin, end] { fn(begin, end); }));
+  Job job{.fn = fn, .count = count, .grain = grain, .shards = shards};
+  {
+    std::lock_guard lock(mutex_);
+    (tail_ == nullptr ? head_ : tail_->next) = &job;
+    tail_ = &job;
   }
-  // Join everything before surfacing errors: a shard that throws must not
-  // leave sibling shards running against caller state we are about to
-  // unwind. The first failing shard (in shard order) wins.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
+  work_cv_.notify_all();
+  {
+    std::unique_lock lock(mutex_);
+    done_cv_.wait(lock, [&job] { return job.finished == job.shards; });
   }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  if (job.error != nullptr) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+    work_cv_.wait(lock, [this] { return stopping_ || head_ != nullptr; });
+    if (head_ == nullptr) return;  // stopping, and no shard left to claim
+    Job& job = *head_;
+    const std::size_t shard = job.claimed++;
+    if (job.claimed == job.shards) {
+      head_ = job.next;
+      if (head_ == nullptr) tail_ = nullptr;
     }
-    task();
+    lock.unlock();
+    const std::size_t begin = shard * job.grain;
+    std::exception_ptr error;
+    try {
+      job.fn(begin, begin + std::min(job.grain, job.count - begin));
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (error != nullptr && (job.error == nullptr || shard < job.error_shard)) {
+      job.error = error;
+      job.error_shard = shard;
+    }
+    // The caller may return, ending the job's lifetime, as soon as the
+    // lock is released after the last shard: touch nothing of it after.
+    if (++job.finished == job.shards) done_cv_.notify_all();
   }
 }
 

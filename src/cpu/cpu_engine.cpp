@@ -1,8 +1,14 @@
 #include "cpu/cpu_engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "obs/prof/profiler.hpp"
 #include "tensor/activations.hpp"
@@ -12,6 +18,23 @@
 namespace microrec {
 
 namespace {
+
+/// Hands the whole pages inside [data, data + bytes) back to the OS. The
+/// range stays mapped; its contents are lost and read back as zeros.
+void DiscardPages(const void* data, std::size_t bytes) {
+#ifdef __linux__
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<std::uintptr_t>(data);
+  const std::uintptr_t begin = (first + page - 1) / page * page;
+  const std::uintptr_t end = (first + bytes) / page * page;
+  if (end > begin) {
+    madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+  }
+#else
+  (void)data;
+  (void)bytes;
+#endif
+}
 
 Nanoseconds NowNs() {
   return static_cast<Nanoseconds>(
@@ -47,17 +70,49 @@ CpuEngine::CpuEngine(const RecModelSpec& model, std::uint64_t max_physical_rows,
   }
 }
 
+CpuEngine::~CpuEngine() {
+  // The tables are the process's largest allocations. Once glibc has freed
+  // one of them, its dynamic mmap threshold serves the next ones from the
+  // brk heap, where free() keeps their pages resident: a process that
+  // rebuilds its engine would hold some of the old tables' pages beside
+  // the new ones, in amounts set by heap layout alone. Drop the pages
+  // before the tables' storage is freed.
+  for (const EmbeddingTable& table : tables_) {
+    const PackedTableView rows = table.packed_view();
+    DiscardPages(rows.data, rows.rows * rows.stride * sizeof(float));
+  }
+}
+
+std::size_t CpuEngine::RowsPerShard(std::size_t batch) const {
+  const std::size_t workers = pool_.num_threads();
+  return batch / workers + (batch % workers != 0);
+}
+
 void CpuEngine::ReserveScratch(InferenceScratch& scratch,
                                std::size_t max_batch) const {
-  scratch.features.ResizeUninit(max_batch, feature_length());
-  // Replay the ping-pong schedule so each buffer's capacity covers every
-  // layer width it will ever host at this batch size.
-  MatrixF* bufs[2] = {&scratch.mlp.a, &scratch.mlp.b};
-  for (std::size_t i = 0; i < model_.mlp.hidden.size(); ++i) {
-    bufs[i % 2]->ResizeUninit(max_batch, model_.mlp.hidden[i]);
+  if (scratch.arenas.size() < pool_.num_threads()) {
+    scratch.arenas.resize(pool_.num_threads());
+  }
+  // At least one row: InferOne runs through arenas[0] too.
+  const std::size_t rows = RowsPerShard(std::max<std::size_t>(max_batch, 1));
+  for (InferenceArena& arena : scratch.arenas) {
+    arena.features.ResizeUninit(rows, feature_length());
+    // Replay the ping-pong schedule so each buffer's capacity covers every
+    // layer width it will ever host at this shard size.
+    MatrixF* bufs[2] = {&arena.mlp.a, &arena.mlp.b};
+    for (std::size_t i = 0; i < model_.mlp.hidden.size(); ++i) {
+      bufs[i % 2]->ResizeUninit(rows, model_.mlp.hidden[i]);
+    }
   }
   scratch.probs.reserve(max_batch);
-  scratch.one.reserve(feature_length());
+}
+
+void CpuEngine::AddGatherWork(obs::prof::HwProfiler* profiler,
+                              std::size_t queries) const {
+  if (profiler == nullptr) return;
+  const auto n = static_cast<double>(queries);
+  profiler->AddPhaseWork("gather", gather_bytes_per_query_ * n,
+                         gather_flops_per_query_ * n);
 }
 
 void CpuEngine::GatherQuery(const SparseQuery& query,
@@ -105,21 +160,8 @@ void CpuEngine::GatherQueryReference(const SparseQuery& query,
 void CpuEngine::EmbeddingLayer(std::span<const SparseQuery> queries,
                                MatrixF& features) const {
   obs::prof::ProfScope prof_scope(profiler_, "gather");
-  if (profiler_ != nullptr) {
-    profiler_->AddPhaseWork(
-        "gather", gather_bytes_per_query_ * static_cast<double>(queries.size()),
-        gather_flops_per_query_ * static_cast<double>(queries.size()));
-  }
+  AddGatherWork(profiler_, queries.size());
   features.ResizeUninit(queries.size(), feature_length());
-  if (pool_.num_threads() == 1) {
-    // Run inline: sharding a 1-worker pool only adds dispatch overhead, and
-    // the std::function hand-off below allocates (the zero-alloc guarantee
-    // holds for single-threaded engines).
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      GatherQuery(queries[i], features.row(i));
-    }
-    return;
-  }
   pool_.ParallelFor(queries.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       GatherQuery(queries[i], features.row(i));
@@ -127,20 +169,55 @@ void CpuEngine::EmbeddingLayer(std::span<const SparseQuery> queries,
   });
 }
 
+void CpuEngine::InferShard(std::span<const SparseQuery> queries,
+                           std::span<float> probs, InferenceArena& arena,
+                           obs::prof::HwProfiler* profiler) const {
+  const Nanoseconds t0 = NowNs();
+  {
+    obs::prof::ProfScope prof_scope(profiler, "gather");
+    AddGatherWork(profiler, queries.size());
+    arena.features.ResizeUninit(queries.size(), feature_length());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      GatherQuery(queries[i], arena.features.row(i));
+    }
+  }
+  const Nanoseconds t1 = NowNs();
+  mlp_.ForwardBatch(arena.features, arena.mlp, probs, profiler);
+  arena.gather_ns = t1 - t0;
+  arena.mlp_ns = NowNs() - t1;
+}
+
 std::span<const float> CpuEngine::InferBatch(
     std::span<const SparseQuery> queries, InferenceScratch& scratch,
     CpuBatchTiming* timing) const {
   obs::prof::ProfScope prof_scope(profiler_, "batch");
   const Nanoseconds t0 = NowNs();
-  EmbeddingLayer(queries, scratch.features);
-  const Nanoseconds t1 = NowNs();
+  const std::size_t workers = pool_.num_threads();
+  if (scratch.arenas.size() < workers) scratch.arenas.resize(workers);
   scratch.probs.resize(queries.size());
-  mlp_.ForwardBatch(scratch.features, scratch.mlp, scratch.probs, profiler_);
-  const Nanoseconds t2 = NowNs();
-  if (profiler_ != nullptr) profiler_->RecordBatch(t2 - t0);
+  // The profiler is single-threaded: only a 1-thread engine, whose lone
+  // shard runs on this thread, attributes the phases below "batch".
+  obs::prof::HwProfiler* shard_profiler = workers == 1 ? profiler_ : nullptr;
+  const std::size_t rows = RowsPerShard(queries.size());
+  const std::span<float> probs(scratch.probs);
+  pool_.ParallelFor(queries.size(), rows,
+                    [&](std::size_t begin, std::size_t end) {
+                      InferShard(queries.subspan(begin, end - begin),
+                                 probs.subspan(begin, end - begin),
+                                 scratch.arenas[begin / rows], shard_profiler);
+                    });
+  if (profiler_ != nullptr) profiler_->RecordBatch(NowNs() - t0);
   if (timing != nullptr) {
-    timing->embedding_ns = t1 - t0;
-    timing->dnn_ns = t2 - t1;
+    timing->embedding_ns = 0.0;
+    timing->dnn_ns = 0.0;
+    for (std::size_t begin = 0; begin < queries.size(); begin += rows) {
+      const InferenceArena& arena = scratch.arenas[begin / rows];
+      if (arena.gather_ns + arena.mlp_ns >
+          timing->embedding_ns + timing->dnn_ns) {
+        timing->embedding_ns = arena.gather_ns;
+        timing->dnn_ns = arena.mlp_ns;
+      }
+    }
     timing->overhead_ns =
         overhead_.EmbeddingOverhead(
             static_cast<std::uint32_t>(tables_.size())) +
@@ -159,16 +236,15 @@ std::vector<float> CpuEngine::InferBatch(std::span<const SparseQuery> queries,
 
 float CpuEngine::InferOne(const SparseQuery& query,
                           InferenceScratch& scratch) const {
-  scratch.one.resize(feature_length());
+  if (scratch.arenas.empty()) scratch.arenas.resize(1);
+  InferenceArena& arena = scratch.arenas.front();
+  arena.features.ResizeUninit(1, feature_length());
   {
     obs::prof::ProfScope prof_scope(profiler_, "gather");
-    if (profiler_ != nullptr) {
-      profiler_->AddPhaseWork("gather", gather_bytes_per_query_,
-                              gather_flops_per_query_);
-    }
-    GatherQuery(query, scratch.one);
+    AddGatherWork(profiler_, 1);
+    GatherQuery(query, arena.features.row(0));
   }
-  return mlp_.ForwardOne(scratch.one, scratch.mlp, profiler_);
+  return mlp_.ForwardOne(arena.features.row(0), arena.mlp, profiler_);
 }
 
 float CpuEngine::InferOne(const SparseQuery& query) const {

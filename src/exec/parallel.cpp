@@ -1,6 +1,5 @@
 #include "exec/parallel.hpp"
 
-#include <algorithm>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -17,26 +16,13 @@ std::size_t ResolveThreads(std::size_t requested) {
 }
 
 ParallelRunner::ParallelRunner(ExecConfig config)
-    : threads_(ResolveThreads(config.threads)),
-      grain_(std::max<std::size_t>(config.grain, 1)) {
+    : threads_(ResolveThreads(config.threads)) {
   if (threads_ > 1) pool_.emplace(threads_);
 }
 
 std::uint64_t ParallelRunner::SubSeed(std::uint64_t base_seed,
                                       std::uint64_t index) {
   return HashSeed(base_seed, index);
-}
-
-void ParallelRunner::RunIndexed(
-    std::size_t count, const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (!pool_.has_value()) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  pool_->ParallelFor(count, grain_, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  });
 }
 
 }  // namespace microrec::exec

@@ -20,7 +20,7 @@
 //     snapshot serializes byte-identically at any thread count.
 //
 // With threads == 1 the runner degenerates to a plain in-order loop with no
-// pool, no futures, and no snapshot detour beyond the same merge call --
+// pool and no snapshot detour beyond the same merge call --
 // that loop *is* the definition of the serial baseline the N-thread run
 // must reproduce, and tests/exec_test.cpp + bench_wallclock enforce the
 // equivalence end to end. See DESIGN.md section 11 for the contract.
@@ -47,10 +47,6 @@ struct ExecConfig {
   /// Worker threads; 1 runs inline on the caller with no pool, 0 resolves
   /// to DefaultThreads().
   std::size_t threads = 1;
-  /// Minimum points per shard handed to the pool (ThreadPool grain).
-  /// Sweep points are coarse (whole simulations), so the default of 1
-  /// point per shard maximizes load balance.
-  std::size_t grain = 1;
 
   static ExecConfig WithThreads(std::size_t threads) {
     ExecConfig config;
@@ -126,13 +122,23 @@ class ParallelRunner {
 
  private:
   /// Runs body(i) for i in [0, count): inline in order when threads_ == 1,
-  /// sharded over the pool otherwise. The first worker exception (in shard
-  /// order) propagates after all shards finish.
-  void RunIndexed(std::size_t count,
-                  const std::function<void(std::size_t)>& body);
+  /// otherwise one point per shard, claimed by workers as they free up --
+  /// points are whole simulations of uneven cost, so this balances load.
+  /// The first worker exception (in point order) propagates after all
+  /// points finish.
+  template <typename Body>
+  void RunIndexed(std::size_t count, Body&& body) {
+    if (!pool_.has_value()) {
+      for (std::size_t i = 0; i < count; ++i) body(i);
+      return;
+    }
+    pool_->ParallelFor(count, /*grain=*/1,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) body(i);
+                       });
+  }
 
   std::size_t threads_ = 1;
-  std::size_t grain_ = 1;
   std::optional<ThreadPool> pool_;  ///< engaged only when threads_ > 1
 };
 

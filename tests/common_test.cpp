@@ -2,6 +2,7 @@
 // thread pool, streaming statistics, and table formatting.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <set>
@@ -243,17 +244,6 @@ TEST(ZipfTest, GeneralizedHarmonicMatchesDirectSum) {
 
 // ---------------------------------------------------------------- ThreadPool
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversExactRange) {
   ThreadPool pool(3);
   std::vector<int> hits(1000, 0);
@@ -297,6 +287,44 @@ TEST(ThreadPoolTest, GrainBoundsShardSize) {
     EXPECT_LE(s, 40u);
   }
   EXPECT_EQ(total, 100u);
+}
+
+TEST(ThreadPoolTest, GrainIsTheShardSize) {
+  // grain 1 over 10 items on 4 workers: 10 one-item shards, claimed by
+  // workers as they free up (not 4 even shards of 3/3/3/1).
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::vector<std::size_t> shard_sizes;
+  std::vector<int> hits(10, 0);
+  pool.ParallelFor(hits.size(), /*grain=*/1,
+                   [&](std::size_t begin, std::size_t end) {
+                     std::lock_guard<std::mutex> lock(mu);
+                     shard_sizes.push_back(end - begin);
+                     for (std::size_t i = begin; i < end; ++i) hits[i]++;
+                   });
+  EXPECT_EQ(shard_sizes, std::vector<std::size_t>(10, 1));
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirOwnRange) {
+  // Two threads share one pool: each job's shards reach only its own
+  // callable, and each call returns once its own range is done.
+  ThreadPool pool(3);
+  auto run = [&pool](std::vector<int>& hits, std::size_t grain) {
+    for (int rep = 0; rep < 50; ++rep) {
+      pool.ParallelFor(hits.size(), grain,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) hits[i]++;
+                       });
+    }
+  };
+  std::vector<int> a(1000, 0);
+  std::vector<int> b(777, 0);
+  std::thread other([&] { run(b, 1); });
+  run(a, 0);
+  other.join();
+  for (int h : a) EXPECT_EQ(h, 50);
+  for (int h : b) EXPECT_EQ(h, 50);
 }
 
 TEST(ThreadPoolTest, GrainLargerThanCountRunsOneShard) {

@@ -2,6 +2,8 @@
 // published baseline anchor numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cpu/cpu_engine.hpp"
 #include "cpu/overhead_model.hpp"
 #include "cpu/paper_baseline.hpp"
@@ -219,6 +221,50 @@ TEST(CpuEngineTest, MultithreadedMatchesSingleThreaded) {
   const auto b = four.InferBatch(queries);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+
+  // The gate model, sharded unevenly (batch 5 on 4 workers is 2/2/1; 7 on
+  // 3 is 3/3/1; batch 1 is a lone shard) and through one reused scratch per
+  // engine, so shards also shrink and regrow between batches.
+  const auto gate = PooledCpuGateModel();
+  CpuEngine gate_one(gate, /*max_physical_rows=*/1 << 12, {}, /*threads=*/1);
+  QueryGenerator gate_gen(gate, IndexDistribution::kUniform, 18);
+  std::vector<std::vector<SparseQuery>> batches;
+  std::vector<std::vector<float>> expected;
+  for (const std::size_t batch : {1u, 5u, 7u, 33u, 256u}) {
+    batches.push_back(gate_gen.NextBatch(batch));
+    expected.push_back(gate_one.InferBatch(batches.back()));
+  }
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    CpuEngine engine(gate, /*max_physical_rows=*/1 << 12, {}, threads);
+    InferenceScratch scratch;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const auto probs = engine.InferBatch(batches[b], scratch);
+      ASSERT_EQ(probs.size(), expected[b].size());
+      for (std::size_t i = 0; i < probs.size(); ++i) {
+        EXPECT_EQ(probs[i], expected[b][i])
+            << "threads " << threads << " batch " << batches[b].size()
+            << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(CpuEngineTest, ShardedTimingReportsTheSlowestShard) {
+  const auto model = PooledCpuGateModel();
+  CpuEngine engine(model, /*max_physical_rows=*/1 << 12, {}, /*threads=*/4);
+  QueryGenerator gen(model, IndexDistribution::kUniform, 19);
+  const auto queries = gen.NextBatch(64);
+  InferenceScratch scratch;
+  CpuBatchTiming timing;
+  engine.InferBatch(queries, scratch, &timing);
+  ASSERT_EQ(scratch.arenas.size(), 4u);
+  Nanoseconds slowest = 0.0;
+  for (const InferenceArena& arena : scratch.arenas) {
+    EXPECT_GT(arena.gather_ns, 0.0);
+    EXPECT_GT(arena.mlp_ns, 0.0);
+    slowest = std::max(slowest, arena.gather_ns + arena.mlp_ns);
+  }
+  EXPECT_DOUBLE_EQ(timing.embedding_ns + timing.dnn_ns, slowest);
 }
 
 // ------------------------------------------------------ Paper anchors

@@ -3,23 +3,26 @@
 // The hardware-fast CPU engine's contract (DESIGN.md section 16) is that
 // once an InferenceScratch has warmed up -- buffers grown to their
 // high-water marks -- repeated InferBatch / InferOne / ForwardBatch calls
-// perform ZERO heap allocations. These tests enforce that with counting
-// global operator new/delete replacements: run the call once to warm the
-// arena, then assert the allocation counter does not move across many
-// further calls.
+// perform ZERO heap allocations, at any engine thread count. These tests
+// enforce that with counting global operator new/delete replacements: run
+// the call once to warm the arena, then assert the allocation counter does
+// not move across many further calls.
 //
 // The replacement operators live in this dedicated binary so the hooks
-// cannot perturb the rest of the test suite. Counters are plain (not
-// atomic-free) std::atomic so a threaded engine build would still be
-// well-defined; the assertions themselves use a threads=1 engine, which is
-// the configuration the zero-alloc guarantee covers (worker hand-off via
-// std::function allocates by design on multi-threaded pools).
+// cannot perturb the rest of the test suite. The counters are atomic
+// because multi-threaded engines run their shards on pool workers, whose
+// allocations (if any) must be counted too. Every engine test runs at 1, 2
+// and 4 threads: the pool hands shards to its workers through a job on the
+// caller's stack and a non-owning callable reference, so sharding a batch
+// allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 
+#include "common/thread_pool.hpp"
 #include "cpu/cpu_engine.hpp"
 #include "nn/mlp.hpp"
 #include "workload/model_zoo.hpp"
@@ -127,75 +130,114 @@ TEST(ZeroAllocTest, MlpForwardOneSteadyStateAllocatesNothing) {
   EXPECT_EQ(p0, p1);
 }
 
-TEST(ZeroAllocTest, InferBatchSteadyStateAllocatesNothing) {
-  const RecModelSpec model = PooledCpuGateModel();
-  CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
-                   FrameworkOverheadParams{}, /*threads=*/1);
-  QueryGenerator gen(model, IndexDistribution::kUniform, 3);
-  const auto queries = gen.NextBatch(64);
-  InferenceScratch scratch;
-  engine.InferBatch(queries, scratch);  // warm every buffer
+/// Engine thread counts every engine test runs at.
+constexpr std::size_t kThreadCounts[] = {1, 2, 4};
+
+TEST(ZeroAllocTest, ThreadPoolParallelForAllocatesNothing) {
+  // A lambda capturing more than 16 bytes: type-erasing it into a
+  // std::function would allocate on every call.
+  ThreadPool pool(4);
+  std::vector<int> hits(100, 0);
+  std::mutex mu;
+  std::size_t shards = 0;
+  auto shard = [&hits, &mu, &shards](std::size_t begin, std::size_t end) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++shards;
+    for (std::size_t i = begin; i < end; ++i) hits[i]++;
+  };
+  pool.ParallelFor(hits.size(), shard);  // start every worker once
 
   const std::uint64_t before = AllocCount();
-  std::span<const float> probs;
   for (int rep = 0; rep < 20; ++rep) {
-    probs = engine.InferBatch(queries, scratch);
+    pool.ParallelFor(hits.size(), shard);
+    pool.ParallelFor(hits.size(), /*grain=*/1, shard);
   }
-  EXPECT_EQ(AllocCount(), before) << "InferBatch allocated in steady state";
-  ASSERT_EQ(probs.size(), queries.size());
+  EXPECT_EQ(AllocCount(), before) << "ParallelFor allocated";
+  EXPECT_EQ(shards, 4u + 20u * (4u + 100u));
+  for (int h : hits) EXPECT_EQ(h, 41);
+}
+
+TEST(ZeroAllocTest, InferBatchSteadyStateAllocatesNothing) {
+  const RecModelSpec model = PooledCpuGateModel();
+  QueryGenerator gen(model, IndexDistribution::kUniform, 3);
+  const auto queries = gen.NextBatch(64);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
+                     FrameworkOverheadParams{}, threads);
+    InferenceScratch scratch;
+    engine.InferBatch(queries, scratch);  // warm every buffer
+
+    const std::uint64_t before = AllocCount();
+    std::span<const float> probs;
+    for (int rep = 0; rep < 20; ++rep) {
+      probs = engine.InferBatch(queries, scratch);
+    }
+    EXPECT_EQ(AllocCount(), before) << "InferBatch allocated in steady state";
+    ASSERT_EQ(probs.size(), queries.size());
+  }
 }
 
 TEST(ZeroAllocTest, ReserveScratchMakesFirstInferBatchAllocationFree) {
   const RecModelSpec model = PooledCpuGateModel();
-  CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
-                   FrameworkOverheadParams{}, /*threads=*/1);
   QueryGenerator gen(model, IndexDistribution::kUniform, 4);
   const auto queries = gen.NextBatch(32);
-  InferenceScratch scratch;
-  engine.ReserveScratch(scratch, 32);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
+                     FrameworkOverheadParams{}, threads);
+    InferenceScratch scratch;
+    engine.ReserveScratch(scratch, 32);
 
-  const std::uint64_t before = AllocCount();
-  engine.InferBatch(queries, scratch);
-  EXPECT_EQ(AllocCount(), before)
-      << "first InferBatch after ReserveScratch allocated";
+    const std::uint64_t before = AllocCount();
+    engine.InferBatch(queries, scratch);
+    EXPECT_EQ(AllocCount(), before)
+        << "first InferBatch after ReserveScratch allocated";
+  }
 }
 
 TEST(ZeroAllocTest, InferOneSteadyStateAllocatesNothing) {
   const RecModelSpec model = PooledCpuGateModel();
-  CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
-                   FrameworkOverheadParams{}, /*threads=*/1);
   QueryGenerator gen(model, IndexDistribution::kUniform, 5);
   const auto queries = gen.NextBatch(8);
-  InferenceScratch scratch;
-  float p0 = engine.InferOne(queries[0], scratch);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
+                     FrameworkOverheadParams{}, threads);
+    InferenceScratch scratch;
+    float p0 = engine.InferOne(queries[0], scratch);
 
-  const std::uint64_t before = AllocCount();
-  float p1 = 0.0f;
-  for (int rep = 0; rep < 50; ++rep) {
-    for (const auto& q : queries) p1 = engine.InferOne(q, scratch);
+    const std::uint64_t before = AllocCount();
+    float p1 = 0.0f;
+    for (int rep = 0; rep < 50; ++rep) {
+      for (const auto& q : queries) p1 = engine.InferOne(q, scratch);
+    }
+    EXPECT_EQ(AllocCount(), before) << "InferOne allocated in steady state";
+    EXPECT_EQ(p0, engine.InferOne(queries[0], scratch));
+    (void)p1;
   }
-  EXPECT_EQ(AllocCount(), before) << "InferOne allocated in steady state";
-  EXPECT_EQ(p0, engine.InferOne(queries[0], scratch));
-  (void)p1;
 }
 
 TEST(ZeroAllocTest, SmallerBatchReusesWarmScratch) {
   // Shrinking the batch must not allocate either (capacity reuse), and a
   // later re-grow within the high-water mark stays allocation-free too.
   const RecModelSpec model = PooledCpuGateModel();
-  CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
-                   FrameworkOverheadParams{}, /*threads=*/1);
   QueryGenerator gen(model, IndexDistribution::kUniform, 6);
   const auto big = gen.NextBatch(48);
   const auto small = gen.NextBatch(7);
-  InferenceScratch scratch;
-  engine.InferBatch(big, scratch);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    CpuEngine engine(model, /*max_physical_rows=*/1 << 12,
+                     FrameworkOverheadParams{}, threads);
+    InferenceScratch scratch;
+    engine.InferBatch(big, scratch);
 
-  const std::uint64_t before = AllocCount();
-  engine.InferBatch(small, scratch);
-  engine.InferBatch(big, scratch);
-  EXPECT_EQ(AllocCount(), before)
-      << "batch-size change within the high-water mark allocated";
+    const std::uint64_t before = AllocCount();
+    engine.InferBatch(small, scratch);
+    engine.InferBatch(big, scratch);
+    EXPECT_EQ(AllocCount(), before)
+        << "batch-size change within the high-water mark allocated";
+  }
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
 # bench_wallclock DO measure wall-clock rates: their baselines declare
 # those fields in a "volatile_metrics" meta (structure-checked, never
 # value-compared), while the boolean gates -- avx2_supported, all_exact,
-# cpu_match, cpu_speedup_batch256_ge_2 -- stay hard-compared so a silent
-# scalar fallback or a lost speedup fails the gate deterministically.
+# cpu_match, cpu_speedup_batch256_ge_2, cpu_thread_scaling_ge_1p5 -- stay
+# hard-compared so a silent scalar fallback, a lost speedup or an engine
+# that stops using its threads fails the gate deterministically.
 # volatile_metrics entries ending in '*' are prefix wildcards: the
 # hardware-profiling sections declare "prof_*" once to cover every
 # per-phase counter/roofline number (IPC, GB/s, roof %, latency

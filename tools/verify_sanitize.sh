@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer leg of the tier-1 verify path: configures a dedicated build tree
-# with MICROREC_SANITIZE=address,undefined and runs the tests most exposed to
+# with the sanitizers named in $MICROREC_SANITIZE (default
+# address,undefined) and runs the tests most exposed to
 # memory/concurrency bugs -- the lock-free versioned store, the update
 # subsystem around it, the hot cache, the embedding/Cartesian layer it
 # feeds, and the fault-schedule / failover / degraded-serving machinery
@@ -26,24 +27,31 @@
 # open/close lifecycle, counter-scaling math, ProfScope RAII under
 # exceptions, the profiler-attached engine identity gates).
 # Usage:
-#   tools/verify_sanitize.sh [build-dir] [ctest -R regex]
+#   [MICROREC_SANITIZE=list] tools/verify_sanitize.sh [build-dir] [ctest -R regex]
 # The regex matches ctest's discovered names (Suite.Test, e.g. "HotCache").
 # Pass '.' as the regex to run the full suite under sanitizers (slower).
+# ThreadSanitizer cannot share a build with ASan, so it gets its own tree
+# and the suites that run work on pool threads:
+#   MICROREC_SANITIZE=thread tools/verify_sanitize.sh build-tsan \
+#     'ThreadPool|ParallelRunner|ParallelDeterminism|MergeSnapshots|CpuEngine|ZeroAlloc'
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
+sanitize="${MICROREC_SANITIZE:-address,undefined}"
 build="${1:-"$repo/build-asan"}"
 filter="${2:-"Update|VersionedStore|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|DmaRetry|DegradedServing|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DMICROREC_SANITIZE=address,undefined \
+  -DMICROREC_SANITIZE="$sanitize" \
   -DMICROREC_BUILD_BENCHES=OFF \
   -DMICROREC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$build" -j "$(nproc)"
 
-# halt_on_error makes UBSan findings fail the run instead of just logging.
+# halt_on_error makes UBSan and TSan findings fail the run instead of just
+# logging.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
+export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 # --no-tests=error guards against a filter that silently matches nothing.
 ctest --test-dir "$build" --output-on-failure --no-tests=error -R "$filter"
-echo "sanitizer verify OK ($filter)"
+echo "sanitizer verify OK ($sanitize: $filter)"
