@@ -25,13 +25,10 @@
 #include "obs/slo.hpp"
 #include "obs/span_tracer.hpp"
 #include "obs/timeseries.hpp"
-#include "faults/degraded_serving.hpp"
-#include "faults/failover.hpp"
-#include "faults/fault_schedule.hpp"
 #include "placement/heuristic.hpp"
-#include "placement/replication.hpp"
 #include "sched/backends.hpp"
 #include "sched/chaos.hpp"
+#include "sched/fault_sweep.hpp"
 #include "sched/fleet.hpp"
 #include "sched/ft_scheduler.hpp"
 #include "sched/sweep.hpp"
@@ -490,7 +487,7 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
 
   std::ostringstream json;
   json << "{\n  \"command\": \"update-sweep\",\n  \"model\": \""
-       << model->name << "\",\n  \"qps\": " << sweep->qps
+       << obs::EscapeJson(model->name) << "\",\n  \"qps\": " << sweep->qps
        << ",\n  \"policy\": \"" << WritePolicyName(policy)
        << "\",\n  \"records\": [\n";
   for (std::uint64_t k = 0; k < *points; ++k) {
@@ -532,115 +529,15 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
   if (!fault.ok()) return fault.status();
   const std::uint64_t max_failed = fault->max_failed;
 
-  const auto platform = MemoryPlatformSpec::AlveoU280();
   EngineOptions options;
   options.materialize = false;
   auto engine = MicroRecEngine::Build(*model, options);
   if (!engine.ok()) return engine.status();
   const auto arrivals = PoissonArrivals(static_cast<double>(sweep->qps),
                                         sweep->queries, sweep->seed);
-
-  // Replication plans are built serially up front (they are shared,
-  // read-only inputs); the flattened (replication, failed-channels) grid is
-  // then mapped over the parallel runner, each point building its own fault
-  // schedule, router, and degraded-serving simulation.
-  struct ReplicationCase {
-    std::uint32_t replication = 0;
-    ReplicationPlan plan;
-    std::vector<std::uint32_t> candidates;
-    Nanoseconds item_latency_ns = 0.0;
-  };
-  std::vector<ReplicationCase> cases;
-  for (std::uint32_t replication : {1u, 2u, 4u}) {
-    ReplicationOptions ropts;
-    ropts.lookups_per_table = model->lookups_per_table;
-    ropts.max_replicas = replication;
-    ropts.availability_replicas = replication;
-    auto plan = ReplicateAndPlace(model->tables, platform, ropts);
-    if (!plan.ok()) return plan.status();
-
-    ReplicationCase rc;
-    rc.replication = replication;
-    rc.plan = std::move(*plan);
-
-    // Channels worth failing: distinct HBM banks actually serving lookups,
-    // round-robin by replica index (every table's first replica before any
-    // table's second) so k failures spread over k tables the way random
-    // channel failures do, instead of adversarially concentrating on one
-    // table. Deterministic, and guaranteed to hurt.
-    std::uint32_t max_replicas_seen = 0;
-    for (const auto& table : rc.plan.tables) {
-      max_replicas_seen = std::max(max_replicas_seen, table.replicas());
-    }
-    for (std::uint32_t i = 0; i < max_replicas_seen; ++i) {
-      for (const auto& table : rc.plan.tables) {
-        if (i >= table.replicas()) continue;
-        const std::uint32_t bank = table.banks[i];
-        if (bank >= platform.hbm_channels) continue;  // DDR never fails here
-        if (std::find(rc.candidates.begin(), rc.candidates.end(), bank) ==
-            rc.candidates.end()) {
-          rc.candidates.push_back(bank);
-        }
-      }
-    }
-    rc.item_latency_ns = engine->ItemLatency() -
-                         engine->EmbeddingLookupLatency() +
-                         rc.plan.lookup_latency_ns;
-    cases.push_back(std::move(rc));
-  }
-
-  struct FaultPoint {
-    std::size_t case_index = 0;
-    std::uint64_t failed_channels = 0;
-  };
-  std::vector<FaultPoint> grid;
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    for (std::uint64_t k = 0; k <= max_failed; ++k) {
-      if (k > cases[c].candidates.size()) break;
-      grid.push_back(FaultPoint{c, k});
-    }
-  }
-
-  struct FaultPointResult {
-    Status status;
-    DegradedServingReport report;
-    obs::SloReport slo;
-  };
-  exec::ParallelRunner runner(exec::ExecConfig::WithThreads(sweep->threads));
-  const std::vector<FaultPointResult> results =
-      runner.Map(grid.size(), [&](std::size_t p) {
-        const ReplicationCase& rc = cases[grid[p].case_index];
-        const std::uint64_t k = grid[p].failed_channels;
-        const std::vector<std::uint32_t> failed(
-            rc.candidates.begin(), rc.candidates.begin() + k);
-        const FaultSchedule schedule = FaultSchedule::FailChannels(failed);
-        const FailoverRouter router(&rc.plan, &schedule);
-
-        DegradedServingConfig config;
-        config.pipeline_replicas = 1;
-        config.item_latency_ns = rc.item_latency_ns;
-        config.initiation_interval_ns =
-            engine->timing().initiation_interval_ns;
-        config.base_lookup_latency_ns = rc.plan.lookup_latency_ns;
-        config.lookups_per_table = model->lookups_per_table;
-        std::vector<obs::QueryOutcome> outcomes;
-        config.outcomes = &outcomes;
-        auto report = SimulateDegradedServing(arrivals, config, schedule,
-                                              &router, &platform);
-        FaultPointResult result;
-        result.status = report.status();
-        if (report.ok()) {
-          result.report = std::move(*report);
-          // Would an on-call have been paged, and how fast? The burn-rate
-          // ladder treats the run's span as the SLO budget period and the
-          // serving SLA as the latency threshold.
-          result.slo = obs::EvaluateSlo(
-              obs::SloSpec::Default(config.sla_ns, 0.999,
-                                    std::max(arrivals.back(), 1.0)),
-              outcomes);
-        }
-        return result;
-      });
+  const auto points =
+      sched::RunFaultSweep(*engine, arrivals, max_failed, sweep->threads);
+  if (!points.ok()) return points.status();
 
   out << "fault sweep for " << model->name << ": " << sweep->queries
       << " queries at " << sweep->qps << " QPS, failing up to " << max_failed
@@ -649,15 +546,13 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
          "alert_ms   budget%\n";
 
   std::ostringstream json;
-  json << "{\n  \"command\": \"fault-sweep\",\n  \"model\": \"" << model->name
-       << "\",\n  \"qps\": " << sweep->qps << ",\n  \"records\": [\n";
+  json << "{\n  \"command\": \"fault-sweep\",\n  \"model\": \""
+       << obs::EscapeJson(model->name) << "\",\n  \"qps\": " << sweep->qps
+       << ",\n  \"records\": [\n";
   bool first_record = true;
-  for (std::size_t p = 0; p < grid.size(); ++p) {
-    if (!results[p].status.ok()) return results[p].status;
-    const std::uint32_t replication = cases[grid[p].case_index].replication;
-    const std::uint64_t k = grid[p].failed_channels;
-    const DegradedServingReport& report = results[p].report;
-    const obs::SloReport& slo = results[p].slo;
+  for (const sched::FaultSweepPoint& point : *points) {
+    const obs::SloReport& slo = point.slo;
+    const double shed_rate = 1.0 - point.availability;
     char alert[24];
     if (slo.alerted) {
       std::snprintf(alert, sizeof alert, "%8.3f", slo.time_to_alert_ns / 1e6);
@@ -667,18 +562,19 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
     char line[200];
     std::snprintf(line, sizeof line,
                   "%8u  %9llu  %11.2f%%  %5.2f%%  %8.2f  %8.2f  %s  %7.1f%%\n",
-                  replication, (unsigned long long)k,
-                  100.0 * report.availability, 100.0 * report.shed_rate,
-                  report.serving.p50 / 1000.0,
-                  report.serving.p99 / 1000.0, alert,
-                  100.0 * slo.error_budget_remaining);
+                  point.replication,
+                  (unsigned long long)point.failed_channels,
+                  100.0 * point.availability, 100.0 * shed_rate,
+                  point.serving.p50 / 1000.0, point.serving.p99 / 1000.0,
+                  alert, 100.0 * slo.error_budget_remaining);
     out << line;
     json << (first_record ? "" : ",\n") << "    {\"replication\": "
-         << replication << ", \"failed_channels\": " << k
-         << ", \"availability\": " << report.availability
-         << ", \"shed_rate\": " << report.shed_rate
-         << ", \"p50_ns\": " << report.serving.p50
-         << ", \"p99_ns\": " << report.serving.p99
+         << point.replication
+         << ", \"failed_channels\": " << point.failed_channels
+         << ", \"availability\": " << point.availability
+         << ", \"shed_rate\": " << shed_rate
+         << ", \"p50_ns\": " << point.serving.p50
+         << ", \"p99_ns\": " << point.serving.p99
          << ", \"slo_alerted\": " << (slo.alerted ? "true" : "false")
          << ", \"time_to_alert_ns\": " << slo.time_to_alert_ns
          << ", \"error_budget_remaining\": " << slo.error_budget_remaining
@@ -782,8 +678,9 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
          "p99_us  sla_viol%\n";
 
   std::ostringstream json;
-  json << "{\n  \"command\": \"scaleout\",\n  \"model\": \"" << model->name
-       << "\",\n  \"sla_us\": " << *sla_us << ",\n  \"records\": [\n";
+  json << "{\n  \"command\": \"scaleout\",\n  \"model\": \""
+       << obs::EscapeJson(model->name) << "\",\n  \"sla_us\": " << *sla_us
+       << ",\n  \"records\": [\n";
   for (std::size_t p = 0; p < grid.size(); ++p) {
     const ScaleoutPoint& point = grid[p];
     const ServingReport& report = results[p];

@@ -16,7 +16,6 @@
 #include <unordered_map>
 
 #include "common/units.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/packed_rows.hpp"
 
 namespace microrec {
@@ -57,11 +56,6 @@ class EmbeddingCacheSim {
   /// Drops all entries; keeps cumulative hit/miss counters.
   void Clear();
 
-  /// Mirrors hit/miss/eviction/invalidation counts and the occupancy gauge
-  /// into `registry` (names prefixed `embedding_cache_`). Pass nullptr to
-  /// detach. Counts-only: cache behaviour is unchanged.
-  void set_metrics(obs::MetricsRegistry* registry);
-
  private:
   struct Key {
     std::uint32_t table_id;
@@ -78,19 +72,10 @@ class EmbeddingCacheSim {
     Bytes bytes;
   };
 
-  struct MetricHandles {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* invalidations = nullptr;
-    obs::Gauge* bytes_cached = nullptr;
-  };
-
   Bytes capacity_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
   EmbeddingCacheStats stats_;
-  MetricHandles metrics_;  ///< all null unless set_metrics attached them
 };
 
 /// Materialized hot-row store for one table, in the same packed row layout

@@ -50,7 +50,7 @@ HostTransferReport AnalyzeHostTransfer(const RecModelSpec& model,
 StatusOr<DmaRetryReport> SimulateDmaWithRetries(
     const PcieLinkSpec& link, Bytes bytes_per_transfer,
     const std::vector<Nanoseconds>& issue_times, const RetryPolicy& policy,
-    const LinkStallFn& stall, obs::MetricsRegistry* metrics) {
+    const LinkStallFn& stall) {
   MICROREC_RETURN_IF_ERROR(policy.Validate());
   if (issue_times.empty()) {
     return Status::InvalidArgument("dma retries: no transfers");
@@ -114,20 +114,6 @@ StatusOr<DmaRetryReport> SimulateDmaWithRetries(
   if (report.succeeded > 0) {
     report.added_latency_mean_ns =
         added_sum / static_cast<double>(report.succeeded);
-  }
-  if (metrics != nullptr) {
-    std::uint64_t attempts = 0;
-    auto& latency_hist = metrics->histogram(
-        "dma_transfer_latency_ns", {}, obs::HistogramOptions{1.0, 1.25, 96});
-    for (const DmaTransferOutcome& outcome : report.transfers) {
-      attempts += outcome.attempts;
-      if (outcome.success) latency_hist.Observe(outcome.latency_ns());
-    }
-    metrics->counter("dma_transfers_total").Inc(report.transfers.size());
-    metrics->counter("dma_attempts_total").Inc(attempts);
-    metrics->counter("dma_retries_total")
-        .Inc(attempts - report.transfers.size());
-    metrics->counter("dma_giveups_total").Inc(report.failed);
   }
   return report;
 }

@@ -16,7 +16,6 @@
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "faults/retry.hpp"
-#include "obs/metrics.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace microrec {
@@ -102,13 +101,10 @@ struct DmaRetryReport {
 /// stall window waits for the window's end if that is within the attempt
 /// timeout; otherwise it times out, backs off per the policy, and retries.
 /// With a null/healthy stall oracle every transfer succeeds on attempt 1
-/// at exactly the healthy latency. `metrics` (optional) mirrors
-/// attempt/retry/give-up counts and a latency histogram (names prefixed
-/// `dma_`) without changing the report.
+/// at exactly the healthy latency.
 StatusOr<DmaRetryReport> SimulateDmaWithRetries(
     const PcieLinkSpec& link, Bytes bytes_per_transfer,
     const std::vector<Nanoseconds>& issue_times, const RetryPolicy& policy,
-    const LinkStallFn& stall = nullptr,
-    obs::MetricsRegistry* metrics = nullptr);
+    const LinkStallFn& stall = nullptr);
 
 }  // namespace microrec

@@ -73,6 +73,10 @@ bool PipelineBackend::Admit(const SchedQuery& q) {
     }
   }
   if (!found) return false;  // pool dark: shed
+  if (std::max(q.arrival_ns, replicas_[best].NextStart()) - q.arrival_ns >
+      config_.admission_queue_ns) {
+    return false;  // would wait past the admission bound: shed
+  }
   // Degrade windows (keyed by replica index) stretch the item latency.
   const double multiplier =
       config_.faults.BankLatencyMultiplier(best, q.arrival_ns);

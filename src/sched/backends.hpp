@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -38,6 +39,10 @@ namespace microrec::sched {
 // become visible to scheduling policies. With an empty schedule every
 // replica is always alive and the multiplier is exactly 1.0, so the pool
 // is the healthy recurrence bit for bit.
+//
+// `admission_queue_ns` is admission control: Admit sheds a query that
+// would wait longer than the bound for its replica, and the shed query
+// takes no pipeline slot. Unbounded by default.
 // ---------------------------------------------------------------------------
 
 struct PipelineBackendConfig {
@@ -46,6 +51,7 @@ struct PipelineBackendConfig {
   Nanoseconds item_latency_ns = 0.0;
   Nanoseconds initiation_interval_ns = 0.0;
   FaultSchedule faults;
+  Nanoseconds admission_queue_ns = std::numeric_limits<double>::infinity();
 };
 
 class PipelineBackend : public Backend {

@@ -653,13 +653,15 @@ FtSchedReport SimulateFaultTolerantServing(
 
 SchedReport ServeOnBackend(const std::vector<Nanoseconds>& arrivals,
                            std::unique_ptr<Backend> backend,
-                           Nanoseconds sla_ns) {
+                           Nanoseconds sla_ns,
+                           std::vector<obs::QueryOutcome>* outcomes) {
   std::vector<std::unique_ptr<Backend>> fleet;
   fleet.push_back(std::move(backend));
   const auto policy =
       MakeStaticPolicy(0, "static:" + std::string(fleet[0]->name()));
   FtOptions options;
   options.base.sla_ns = sla_ns;
+  options.outcomes = outcomes;
   return SimulateFaultTolerantServing(SingleItemQueries(arrivals), fleet,
                                       *policy, options)
       .base;

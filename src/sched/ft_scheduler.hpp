@@ -175,8 +175,10 @@ FtSchedReport SimulateFaultTolerantServing(
 /// Serves one single-item query per arrival on `backend` alone: a static
 /// policy over a one-backend fleet, fault-tolerance layer off. This is how
 /// a single-path server (one pipeline pool, one batched CPU pool) runs.
+/// `outcomes` (optional) receives every query's outcome in arrival order.
 SchedReport ServeOnBackend(const std::vector<Nanoseconds>& arrivals,
                            std::unique_ptr<Backend> backend,
-                           Nanoseconds sla_ns);
+                           Nanoseconds sla_ns,
+                           std::vector<obs::QueryOutcome>* outcomes = nullptr);
 
 }  // namespace microrec::sched

@@ -54,17 +54,6 @@ UpdateServingReport SimulateServingWithUpdates(
 
   std::vector<Nanoseconds> completions(arrivals.size());
 
-  // Pure observation: mirror every query's fate into the SLO outcome
-  // stream when a collector is attached (this simulator never sheds).
-  const auto record_outcomes = [&]() {
-    if (config.outcomes == nullptr) return;
-    config.outcomes->reserve(config.outcomes->size() + arrivals.size());
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      config.outcomes->push_back(
-          obs::QueryOutcome{arrivals[i], completions[i] - arrivals[i], true});
-    }
-  };
-
   if (!updates_on) {
     // Zero update rate short-circuits onto the bare pipeline recurrence:
     // no memsim, no delta stream, and the same arithmetic as a pipeline
@@ -75,7 +64,6 @@ UpdateServingReport SimulateServingWithUpdates(
       completions[i] = pipeline.Admit(arrivals[i]);
     }
     report.serving = SummarizeServing(arrivals, completions, config.sla_ns);
-    record_outcomes();
     return report;
   }
 
@@ -88,18 +76,6 @@ UpdateServingReport SimulateServingWithUpdates(
 
   PercentileTracker staleness;
   RunningStats interference;
-
-  // Resolve histogram handles once; the hot loop checks a single pointer so
-  // the detached path stays identical.
-  obs::Histogram* staleness_hist = nullptr;
-  obs::Histogram* interference_hist = nullptr;
-  if (config.metrics != nullptr) {
-    const obs::HistogramOptions opts{1.0, 1.25, 96};
-    staleness_hist =
-        &config.metrics->histogram("update_staleness_ns", {}, opts);
-    interference_hist =
-        &config.metrics->histogram("update_interference_ns", {}, opts);
-  }
 
   Nanoseconds last_start = -config.initiation_interval_ns;
   // Channels require nondecreasing issue times; the yield policy can push a
@@ -208,12 +184,10 @@ UpdateServingReport SimulateServingWithUpdates(
     const Nanoseconds start = tentative + delay;
     if (delay > 0.0) ++report.delayed_queries;
     interference.Add(delay);
-    if (interference_hist != nullptr) interference_hist->Observe(delay);
 
     roll_publishes_forward(start);
     const Nanoseconds stale = std::max(0.0, newest_generated - newest_published);
     staleness.Add(stale);
-    if (staleness_hist != nullptr) staleness_hist->Observe(stale);
     completions[i] = start + config.item_latency_ns;
     last_start = start;
   }
@@ -227,7 +201,6 @@ UpdateServingReport SimulateServingWithUpdates(
   }
 
   report.serving = SummarizeServing(arrivals, completions, config.sla_ns);
-  record_outcomes();
   report.update_bytes_written = injector.stats().bytes_written;
   report.staleness_p50 = staleness.Percentile(0.50);
   report.staleness_p95 = staleness.Percentile(0.95);
@@ -236,16 +209,6 @@ UpdateServingReport SimulateServingWithUpdates(
   report.staleness_mean = staleness.Mean();
   report.interference_mean = interference.mean();
   report.interference_max = interference.max();
-  if (config.metrics != nullptr) {
-    config.metrics->counter("update_batches_total").Inc(report.update_batches);
-    config.metrics->counter("update_rows_total").Inc(report.update_rows);
-    config.metrics->counter("update_publishes_total").Inc(report.publishes);
-    config.metrics->counter("update_migrations_total").Inc(report.migrations);
-    config.metrics->counter("update_delayed_queries_total")
-        .Inc(report.delayed_queries);
-    config.metrics->counter("update_bytes_written_total")
-        .Inc(report.update_bytes_written);
-  }
   return report;
 }
 

@@ -20,8 +20,6 @@
 
 #include "common/units.hpp"
 #include "memsim/dram_timing.hpp"
-#include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "placement/plan.hpp"
 #include "serving/serving_sim.hpp"
 #include "update/delta_stream.hpp"
@@ -47,16 +45,6 @@ struct UpdateServingConfig {
   /// Re-run the heuristic when growth overflows a bank (migration cost is
   /// charged and the new plan serves subsequent lookups).
   bool enable_replacement = true;
-
-  /// Optional counts-only telemetry. Update/publish/migration counters plus
-  /// staleness and interference histograms are mirrored into this registry
-  /// (names prefixed `update_`). Simulation results are unchanged.
-  obs::MetricsRegistry* metrics = nullptr;
-
-  /// Optional per-query outcome stream for SLO evaluation (this simulator
-  /// never sheds, so every outcome has served=true). Pure observation;
-  /// simulation results are unchanged.
-  std::vector<obs::QueryOutcome>* outcomes = nullptr;
 };
 
 struct UpdateServingReport {

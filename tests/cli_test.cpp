@@ -9,6 +9,7 @@
 
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "obs/json_reader.hpp"
 
 namespace microrec::cli {
 namespace {
@@ -529,6 +530,41 @@ TEST_F(CliTest, PerfGateRejectsBadArguments) {
   EXPECT_FALSE(Run({"perfgate", "--baseline-dir", base_dir, "--current-dir",
                     Path("x"), "--tol", "nonsense"})
                    .first.ok());
+}
+
+// A model name is any whitespace-free token, quotes and backslashes
+// included; every sweep's --json report must still parse and carry it.
+TEST_F(CliTest, SweepJsonEscapesTheModelName) {
+  const std::string generated = Path("generated.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", generated}).first.ok());
+  const std::string weird_name = "we\"ird\\model";
+  std::string text = Slurp(generated);
+  const std::string name_line = "name alibaba-small\n";
+  const std::size_t at = text.find(name_line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, name_line.size(), "name " + weird_name + "\n");
+  const std::string model_path = Path("model.txt");
+  std::ofstream(model_path) << text;
+
+  const std::vector<std::vector<std::string>> commands = {
+      {"update-sweep", model_path, "--queries", "200", "--points", "2",
+       "--update-qps-max", "1000"},
+      {"fault-sweep", model_path, "--queries", "200", "--max-failed", "1"},
+      {"scaleout", model_path, "--queries", "200", "--points", "1"},
+  };
+  for (std::vector<std::string> tokens : commands) {
+    const std::string json_path = Path(tokens[0] + ".json");
+    tokens.push_back("--json");
+    tokens.push_back(json_path);
+    auto [status, out] = Run(tokens);
+    ASSERT_TRUE(status.ok()) << tokens[0] << ": " << status << "\n" << out;
+    auto doc = obs::JsonValue::Parse(Slurp(json_path));
+    ASSERT_TRUE(doc.ok()) << tokens[0] << ": " << doc.status();
+    const obs::JsonValue* model = doc->Find("model");
+    ASSERT_NE(model, nullptr) << tokens[0];
+    ASSERT_TRUE(model->is_string()) << tokens[0];
+    EXPECT_EQ(model->AsString(), weird_name) << tokens[0];
+  }
 }
 
 // ---------------------------------------------------------------- fault-sweep

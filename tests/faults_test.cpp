@@ -4,21 +4,23 @@
 //   * failover routing never silently drops a lookup -- every lookup lands
 //     on a live bank or is counted as shed;
 //   * DMA retry/backoff timing is exactly bounded by the policy;
-//   * zero-fault degraded serving is field-for-field identical to a
-//     fault-free pipeline pool with the same replica count.
+//   * the fault sweep's zero-failure points are field-for-field identical
+//     to a fault-free pipeline pool, a table with no live replica sheds
+//     every query, and replicas re-route a failed channel instead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "faults/degraded_serving.hpp"
+#include "core/microrec.hpp"
 #include "faults/failover.hpp"
 #include "faults/fault_schedule.hpp"
 #include "fpga/host_interface.hpp"
 #include "memsim/hybrid_memory.hpp"
 #include "placement/replication.hpp"
 #include "sched/backends.hpp"
+#include "sched/fault_sweep.hpp"
 #include "sched/ft_scheduler.hpp"
 #include "serving/serving_sim.hpp"
 #include "workload/model_zoo.hpp"
@@ -391,113 +393,88 @@ TEST(DmaRetryTest, RejectsInvalidInputs) {
   EXPECT_FALSE(SimulateDmaWithRetries(link, 64, {}, RetryPolicy{}).ok());
 }
 
-// ------------------------------------------------------- Degraded serving
+// ------------------------------------------------------------ Fault sweep
 
-TEST(DegradedServingTest, ZeroFaultIdentity) {
-  const auto arrivals = PoissonArrivals(200'000.0, 2'000, 17);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 2;
-  config.item_latency_ns = Microseconds(5);
-  config.initiation_interval_ns = 300.0;
-  const FaultSchedule empty;
-  const auto report =
-      SimulateDegradedServing(arrivals, config, empty).value();
-  // A fault-free pipeline pool with the same replica count.
-  sched::PipelineBackendConfig pool;
-  pool.replicas = config.pipeline_replicas;
-  pool.item_latency_ns = config.item_latency_ns;
-  pool.initiation_interval_ns = config.initiation_interval_ns;
-  const ServingReport baseline =
-      sched::ServeOnBackend(arrivals,
-                            std::make_unique<sched::PipelineBackend>(pool),
-                            config.sla_ns)
-          .serving;
-  EXPECT_EQ(report.availability, 1.0);
-  EXPECT_EQ(report.shed_unservable, 0u);
-  EXPECT_EQ(report.shed_admission, 0u);
-  EXPECT_EQ(report.serving.p50, baseline.p50);
-  EXPECT_EQ(report.serving.p95, baseline.p95);
-  EXPECT_EQ(report.serving.p99, baseline.p99);
-  EXPECT_EQ(report.serving.max, baseline.max);
-  EXPECT_EQ(report.serving.mean, baseline.mean);
-  EXPECT_EQ(report.serving.achieved_qps, baseline.achieved_qps);
+class FaultSweepTest : public ::testing::Test {
+ protected:
+  static MicroRecEngine Engine() {
+    EngineOptions options;
+    options.materialize = false;
+    return MicroRecEngine::Build(DlrmRmc2Model(8, 32), options).value();
+  }
+
+  static std::vector<sched::FaultSweepPoint> Sweep(
+      const std::vector<Nanoseconds>& arrivals) {
+    return sched::RunFaultSweep(Engine(), arrivals, /*max_failed=*/2,
+                                /*threads=*/1)
+        .value();
+  }
+
+  static const sched::FaultSweepPoint& At(
+      const std::vector<sched::FaultSweepPoint>& points,
+      std::uint32_t replication, std::uint64_t failed) {
+    for (const auto& point : points) {
+      if (point.replication == replication &&
+          point.failed_channels == failed) {
+        return point;
+      }
+    }
+    ADD_FAILURE() << "no point (" << replication << ", " << failed << ")";
+    return points.front();
+  }
+};
+
+TEST_F(FaultSweepTest, ZeroFailurePointsEqualAPlainPool) {
+  const auto arrivals = PoissonArrivals(150'000.0, 3'000, 13);
+  const MicroRecEngine engine = Engine();
+  const auto points = Sweep(arrivals);
+  std::size_t zero_failure_points = 0;
+  for (const auto& point : points) {
+    if (point.failed_channels != 0) continue;
+    ++zero_failure_points;
+    sched::PipelineBackendConfig pool;
+    pool.item_latency_ns = point.item_latency_ns;
+    pool.initiation_interval_ns = engine.timing().initiation_interval_ns;
+    const ServingReport baseline =
+        sched::ServeOnBackend(arrivals,
+                              std::make_unique<sched::PipelineBackend>(pool),
+                              sched::kFaultSweepSlaNs)
+            .serving;
+    EXPECT_EQ(point.availability, 1.0);
+    EXPECT_EQ(point.serving.p50, baseline.p50);
+    EXPECT_EQ(point.serving.p95, baseline.p95);
+    EXPECT_EQ(point.serving.p99, baseline.p99);
+    EXPECT_EQ(point.serving.max, baseline.max);
+    EXPECT_EQ(point.serving.mean, baseline.mean);
+    EXPECT_EQ(point.serving.achieved_qps, baseline.achieved_qps);
+    EXPECT_EQ(point.serving.sla_violation_rate, baseline.sla_violation_rate);
+  }
+  EXPECT_EQ(zero_failure_points, 3u);  // replication 1, 2 and 4
 }
 
-TEST(DegradedServingTest, AllReplicasDownShedsEverything) {
-  const auto arrivals = PoissonArrivals(100'000.0, 500, 3);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 1;
-  config.item_latency_ns = Microseconds(5);
-  config.initiation_interval_ns = 300.0;
-  FaultSchedule schedule;
-  ASSERT_TRUE(schedule
-                  .Add(Event(FaultKind::kReplicaCrash, 0.0,
-                             kFaultNoRecovery, 0))
-                  .ok());
-  const auto report =
-      SimulateDegradedServing(arrivals, config, schedule).value();
-  EXPECT_EQ(report.served, 0u);
-  EXPECT_EQ(report.shed_unservable, report.offered);
-  EXPECT_EQ(report.availability, 0.0);
-  EXPECT_EQ(report.shed_rate, 1.0);
+TEST_F(FaultSweepTest, UnservablePointShedsEveryQuery) {
+  // At replication 1 a failed channel takes whole tables with it, and
+  // every query touches every table.
+  const auto points = Sweep(PoissonArrivals(150'000.0, 500, 3));
+  const auto& point = At(points, 1, 1);
+  EXPECT_EQ(point.availability, 0.0);
+  EXPECT_EQ(point.serving.max, 0.0);
+  EXPECT_TRUE(point.slo.alerted);
 }
 
-TEST(DegradedServingTest, CrashedReplicaShrinksThePoolNotTheService) {
-  // One of two replicas down for the whole run: everything is still
-  // served, but with half the capacity the queues -- and the tail -- grow.
-  const auto arrivals = PoissonArrivals(400'000.0, 4'000, 11);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 2;
-  config.item_latency_ns = Microseconds(5);
-  config.initiation_interval_ns = 400.0;
-  FaultSchedule schedule;
-  ASSERT_TRUE(schedule
-                  .Add(Event(FaultKind::kReplicaCrash, 0.0,
-                             kFaultNoRecovery, 1))
-                  .ok());
-  const auto degraded =
-      SimulateDegradedServing(arrivals, config, schedule).value();
-  const FaultSchedule empty;
-  const auto healthy =
-      SimulateDegradedServing(arrivals, config, empty).value();
-  EXPECT_EQ(degraded.availability, 1.0);
-  EXPECT_GT(degraded.serving.p99, healthy.serving.p99);
+TEST_F(FaultSweepTest, ReplicasReRouteAFailedChannelInsteadOfShedding) {
+  const auto points = Sweep(PoissonArrivals(150'000.0, 2'000, 7));
+  const auto& healthy = At(points, 2, 0);
+  const auto& failed = At(points, 2, 1);
+  EXPECT_EQ(failed.availability, 1.0);
+  EXPECT_GT(failed.serving.p99, healthy.serving.p99);  // extra rounds
 }
 
-TEST(DegradedServingTest, AdmissionControlShedsInsteadOfQueueingForever) {
-  // Offered load far above a single degraded pipeline's capacity with a
-  // tight admission bound: the simulator must shed, not build an unbounded
-  // queue, and the served tail must respect the bound.
-  const auto arrivals = PoissonArrivals(2'000'000.0, 4'000, 5);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 1;
-  config.item_latency_ns = Microseconds(5);
-  config.initiation_interval_ns = 2'000.0;  // 500 kQPS capacity
-  config.admission_queue_ns = Microseconds(50);
-  const FaultSchedule empty;
-  const auto report =
-      SimulateDegradedServing(arrivals, config, empty).value();
-  EXPECT_GT(report.shed_admission, 0u);
-  EXPECT_LT(report.availability, 1.0);
-  EXPECT_LE(report.serving.max,
-            config.admission_queue_ns + config.item_latency_ns + 1.0);
-}
-
-TEST(DegradedServingTest, RejectsDegenerateInputs) {
-  const FaultSchedule empty;
-  DegradedServingConfig config;
-  config.item_latency_ns = Microseconds(5);
-  config.initiation_interval_ns = 300.0;
-  EXPECT_FALSE(SimulateDegradedServing({}, config, empty).ok());
-  EXPECT_FALSE(
-      SimulateDegradedServing({10.0, 5.0}, config, empty).ok());
-  DegradedServingConfig zero_replicas = config;
-  zero_replicas.pipeline_replicas = 0;
-  EXPECT_FALSE(
-      SimulateDegradedServing({0.0}, zero_replicas, empty).ok());
-  DegradedServingConfig bad_latency = config;
-  bad_latency.item_latency_ns = 0.0;
-  EXPECT_FALSE(SimulateDegradedServing({0.0}, bad_latency, empty).ok());
+TEST_F(FaultSweepTest, RejectsDegenerateInputs) {
+  const MicroRecEngine engine = Engine();
+  EXPECT_FALSE(sched::RunFaultSweep(engine, {}, 2, 1).ok());
+  EXPECT_FALSE(sched::RunFaultSweep(engine, {10.0, 5.0}, 2, 1).ok());
+  EXPECT_TRUE(sched::RunFaultSweep(engine, {0.0}, 2, 1).ok());
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 //   * the Backend adapters are zero-overhead: routing a whole stream to
 //     one backend reproduces its state machine's own recurrence (the
 //     pipeline written out by hand, the batched server with every query
-//     assigned up front) bit for bit;
+//     assigned up front) bit for bit; a crashed pipeline replica shrinks
+//     the pool without shedding, and an admission bound sheds instead of
+//     queueing past it;
 //   * policies route as documented (round-robin cycles, spill leaves the
 //     primary only past its threshold, queue-depth picks the argmin,
 //     slo-aware offloads only once the fast path's occupancy gate trips,
@@ -347,6 +349,49 @@ TEST(SchedBackendTest, DegradedPoolShedsOnlyWhileEveryReplicaIsDown) {
   std::vector<SchedCompletion> done;
   backend.Finalize(done);
   EXPECT_EQ(done.size(), 2u);  // the shed query never completes
+}
+
+TEST(SchedBackendTest, CrashedReplicaShrinksThePoolNotTheService) {
+  // One of two replicas down for the whole run: everything is still
+  // served, but with half the capacity the queues -- and the tail -- grow.
+  const auto arrivals = PoissonArrivals(400'000.0, 4'000, 11);
+  PipelineBackendConfig healthy;
+  healthy.replicas = 2;
+  healthy.item_latency_ns = Microseconds(5);
+  healthy.initiation_interval_ns = 400.0;
+  PipelineBackendConfig degraded = healthy;
+  FaultEvent crash;
+  crash.kind = FaultKind::kReplicaCrash;
+  crash.target = 1;
+  crash.end_ns = kFaultNoRecovery;
+  ASSERT_TRUE(degraded.faults.Add(crash).ok());
+  const SchedReport h = ServeOnBackend(
+      arrivals, std::make_unique<PipelineBackend>(healthy), Milliseconds(30));
+  const SchedReport d = ServeOnBackend(
+      arrivals, std::make_unique<PipelineBackend>(degraded), Milliseconds(30));
+  EXPECT_EQ(d.availability, 1.0);
+  EXPECT_GT(d.serving.p99, h.serving.p99);
+}
+
+TEST(SchedBackendTest, AdmissionBoundShedsInsteadOfQueueingForever) {
+  // Offered load far above one pipeline's capacity: unbounded, the pool
+  // queues everything; with a tight admission bound it sheds instead, and
+  // no served query waited past the bound.
+  const auto arrivals = PoissonArrivals(2'000'000.0, 4'000, 5);
+  PipelineBackendConfig config;
+  config.item_latency_ns = Microseconds(5);
+  config.initiation_interval_ns = 2'000.0;  // 500 kQPS capacity
+  const SchedReport unbounded = ServeOnBackend(
+      arrivals, std::make_unique<PipelineBackend>(config), Milliseconds(30));
+  EXPECT_EQ(unbounded.availability, 1.0);
+
+  config.admission_queue_ns = Microseconds(50);
+  const SchedReport bounded = ServeOnBackend(
+      arrivals, std::make_unique<PipelineBackend>(config), Milliseconds(30));
+  EXPECT_GT(bounded.shed, 0u);
+  EXPECT_LT(bounded.availability, 1.0);
+  EXPECT_LE(bounded.serving.max,
+            config.admission_queue_ns + config.item_latency_ns + 1.0);
 }
 
 TEST(SchedBackendTest, HotCacheWarmsUpAndRefinesItsCostModel) {

@@ -2,11 +2,13 @@
 # Fault-injection smoke of the verify path: builds the main tree, generates
 # a model, runs `microrec fault-sweep`, and asserts the JSON artifact is
 # non-empty and carries sweep records plus the zero-failure baseline.
-# Also runs bench_ablation_faults, which exits non-zero if the zero-fault
-# run is not field-for-field identical to the fault-free simulator, and
-# the fault-tolerance leg: the chaos suites (circuit breakers, backend
-# fault models, the fault-tolerant scheduler, recovery metrics, the chaos
-# sweep) under ctest, a `microrec chaos-sweep` smoke with a JSON artifact,
+# Also runs bench_ablation_faults, which runs the same fault sweep
+# (sched/fault_sweep.hpp) and exits non-zero if a zero-failure point is not
+# field-for-field identical to a fault-free pipeline pool, and the
+# fault-tolerance leg: the fault-sweep and chaos suites (the sweep's priced
+# pools, circuit breakers, backend fault models, the fault-tolerant
+# scheduler, recovery metrics, the chaos sweep) under ctest, a
+# `microrec chaos-sweep` smoke with a JSON artifact,
 # and bench_chaos, which exits non-zero when the breaker+retry+hedge
 # headline is lost, the threaded rerun diverges, or the zero-intensity
 # points drift from the healthy scheduler.
@@ -45,7 +47,7 @@ grep -q '"zero_fault_identity": true' "$workdir/BENCH_ablation_faults.json"
 # Fault-tolerance leg: unit suites, the chaos-sweep CLI, and the
 # self-gating chaos bench.
 ctest --test-dir "$build" --output-on-failure --no-tests=error \
-  -R 'FaultSchedule|RetryPolicy|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|SchedServing'
+  -R 'FaultSchedule|RetryPolicy|FaultSweepTest|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|SchedServing'
 
 "$build/tools/microrec" chaos-sweep --queries 2000 --fault-points 2 \
   --json "$workdir/chaos.json" >/dev/null

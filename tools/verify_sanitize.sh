@@ -4,7 +4,7 @@
 # address,undefined) and runs the tests most exposed to
 # memory/concurrency bugs -- the lock-free versioned store, the update
 # subsystem around it, the hot cache, the embedding/Cartesian layer it
-# feeds, and the fault-schedule / failover / degraded-serving machinery
+# feeds, and the fault-schedule / failover / fault-sweep machinery
 # (shed-lookup bookkeeping, retry state machine, schedule generation),
 # plus the telemetry layer (metrics registry, histograms, span tracer,
 # identity gates) and its analysis layer (critical-path attribution, time
@@ -39,7 +39,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 sanitize="${MICROREC_SANITIZE:-address,undefined}"
 build="${1:-"$repo/build-asan"}"
-filter="${2:-"Update|VersionedStore|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|DmaRetry|DegradedServing|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
+filter="${2:-"Update|VersionedStore|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|DmaRetry|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -52,6 +52,16 @@ cmake --build "$build" -j "$(nproc)"
 # logging.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-# --no-tests=error guards against a filter that silently matches nothing.
+# --no-tests=error only catches a filter that matches nothing at all; a
+# stale alternative (a suite renamed or deleted) would silently drop out of
+# the leg, so every top-level '|' alternative must match a test on its own.
+IFS='|' read -r -a alternatives <<<"$filter"
+for alternative in "${alternatives[@]}"; do
+  listed="$(ctest --test-dir "$build" -N -R "$alternative")"
+  if ! grep -q '^Total Tests: [1-9]' <<<"$listed"; then
+    echo "FAIL: filter alternative '$alternative' matches no test" >&2
+    exit 1
+  fi
+done
 ctest --test-dir "$build" --output-on-failure --no-tests=error -R "$filter"
 echo "sanitizer verify OK ($sanitize: $filter)"
