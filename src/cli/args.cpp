@@ -1,5 +1,7 @@
 #include "cli/args.hpp"
 
+#include <cmath>
+
 namespace microrec::cli {
 
 StatusOr<ArgList> ArgList::Parse(const std::vector<std::string>& tokens,
@@ -62,14 +64,22 @@ StatusOr<double> ArgList::GetDouble(const std::string& name,
                                     double default_value) const {
   const auto value = GetOption(name);
   if (!value.has_value()) return default_value;
+  return ParseDouble(name, *value);
+}
+
+StatusOr<double> ParseDouble(const std::string& name,
+                             const std::string& text) {
   try {
+    // stod also accepts "nan" and "inf", which no option means.
     std::size_t pos = 0;
-    const double v = std::stod(*value, &pos);
-    if (pos != value->size()) throw std::invalid_argument(*value);
+    const double v = std::stod(text, &pos);
+    if (pos != text.size() || !std::isfinite(v)) {
+      throw std::invalid_argument(text);
+    }
     return v;
   } catch (...) {
     return Status::InvalidArgument("option --" + name +
-                                   " expects a number, got '" + *value + "'");
+                                   " expects a number, got '" + text + "'");
   }
 }
 

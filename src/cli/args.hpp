@@ -30,8 +30,7 @@ class ArgList {
   StatusOr<std::uint64_t> GetUint(const std::string& name,
                                   std::uint64_t default_value) const;
 
-  /// Like GetUint for real-valued options (accepts anything std::stod
-  /// fully consumes).
+  /// Like GetUint for real-valued options (see ParseDouble).
   StatusOr<double> GetDouble(const std::string& name,
                              double default_value) const;
 
@@ -43,5 +42,9 @@ class ArgList {
   std::map<std::string, std::string> options_;
   std::set<std::string> flags_;
 };
+
+/// Parses `text`, a value given to option --`name`: any finite number
+/// std::stod fully consumes.
+StatusOr<double> ParseDouble(const std::string& name, const std::string& text);
 
 }  // namespace microrec::cli

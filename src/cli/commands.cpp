@@ -194,18 +194,14 @@ Status CmdRecord(const ArgList& args, std::ostream& out) {
   auto seed = args.GetUint("seed", 42);
   if (!seed.ok()) return seed.status();
 
-  IndexDistribution distribution = IndexDistribution::kUniform;
-  double theta = 0.0;
-  if (const auto zipf = args.GetOption("zipf")) {
-    try {
-      theta = std::stod(*zipf);
-    } catch (...) {
-      return Status::InvalidArgument("--zipf expects a number");
-    }
-    distribution = IndexDistribution::kZipf;
-  }
+  auto theta = args.GetDouble("zipf", 0.0);
+  if (!theta.ok()) return theta.status();
+  if (*theta < 0.0) return Status::InvalidArgument("--zipf must be >= 0");
+  const IndexDistribution distribution = args.GetOption("zipf")
+                                             ? IndexDistribution::kZipf
+                                             : IndexDistribution::kUniform;
 
-  QueryGenerator generator(*model, distribution, *seed, theta);
+  QueryGenerator generator(*model, distribution, *seed, *theta);
   const auto arrivals =
       PoissonArrivals(static_cast<double>(*qps), *queries, *seed + 1);
   const auto trace = RecordTrace(generator, arrivals);
@@ -1187,23 +1183,6 @@ Status CmdExplain(const ArgList& args, std::ostream& out) {
   return Status::Ok();
 }
 
-namespace {
-
-StatusOr<double> ParseDoubleOption(const std::string& name,
-                                   const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (...) {
-    return Status::InvalidArgument("--" + name + " expects a number, got '" +
-                                   text + "'");
-  }
-}
-
-}  // namespace
-
 Status CmdPerfGate(const ArgList& args, std::ostream& out) {
   MICROREC_RETURN_IF_ERROR(args.CheckAllowed(
       {"baseline-dir", "current-dir", "tolerance", "tol"}));
@@ -1220,14 +1199,12 @@ Status CmdPerfGate(const ArgList& args, std::ostream& out) {
   }
 
   obs::PerfGateOptions opts;
-  if (const auto tol = args.GetOption("tolerance")) {
-    auto value = ParseDoubleOption("tolerance", *tol);
-    if (!value.ok()) return value.status();
-    if (*value < 0.0) {
-      return Status::InvalidArgument("--tolerance must be >= 0");
-    }
-    opts.default_tolerance = *value;
+  auto tolerance = args.GetDouble("tolerance", opts.default_tolerance);
+  if (!tolerance.ok()) return tolerance.status();
+  if (*tolerance < 0.0) {
+    return Status::InvalidArgument("--tolerance must be >= 0");
   }
+  opts.default_tolerance = *tolerance;
   if (const auto overrides = args.GetOption("tol")) {
     // Comma-separated metric=tolerance pairs, e.g. --tol p99_ns=0.1,gops=0.
     std::istringstream stream(*overrides);
@@ -1238,7 +1215,7 @@ Status CmdPerfGate(const ArgList& args, std::ostream& out) {
         return Status::InvalidArgument(
             "--tol expects metric=tolerance pairs, got '" + pair + "'");
       }
-      auto value = ParseDoubleOption("tol", pair.substr(eq + 1));
+      auto value = ParseDouble("tol", pair.substr(eq + 1));
       if (!value.ok()) return value.status();
       opts.metric_tolerance[pair.substr(0, eq)] = *value;
     }

@@ -18,8 +18,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "RESOURCE_EXHAUSTED";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
     case StatusCode::kInternal:
       return "INTERNAL";
   }

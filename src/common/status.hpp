@@ -21,7 +21,6 @@ enum class StatusCode {
   kFailedPrecondition,
   kResourceExhausted,
   kNotFound,
-  kUnimplemented,
   kInternal,
 };
 
@@ -51,9 +50,6 @@ class Status {
   }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

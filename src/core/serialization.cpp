@@ -24,6 +24,11 @@ std::vector<std::string> Fields(const std::string& line) {
 
 StatusOr<std::uint64_t> ParseU64(const std::string& s, std::size_t line_no) {
   try {
+    // stoull accepts a leading '-' (or '+' and whitespace) and wraps the
+    // negative around; digits only.
+    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument(s);
+    }
     std::size_t pos = 0;
     const unsigned long long v = std::stoull(s, &pos);
     if (pos != s.size()) throw std::invalid_argument(s);

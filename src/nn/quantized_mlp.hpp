@@ -20,9 +20,8 @@ namespace microrec {
 
 /// Converts an int64 sum of raw fixed-point products (scale
 /// 2^(2*FracBits)) back to Fixed with round-half-away-from-zero and
-/// saturation -- the writeback stage of a PE's add tree. Shared by the
-/// quantized MLP and the HLS kernel model so both datapaths are
-/// bit-identical.
+/// saturation -- the writeback stage of a PE's add tree, shared by the
+/// hidden layers and the output head.
 template <typename Fixed>
 inline Fixed SaturateFromWideProductSum(std::int64_t acc) {
   const int frac = Fixed::kFracBits;

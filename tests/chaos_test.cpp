@@ -863,8 +863,13 @@ TEST(ChaosSweepTest, CliChaosSweepRejectsBadArguments) {
   EXPECT_FALSE(cli::RunCli({"chaos-sweep", "--queries", "0"}, out).ok());
   EXPECT_FALSE(
       cli::RunCli({"chaos-sweep", "--fault-intensity-max", "1.5"}, out).ok());
-  EXPECT_FALSE(
-      cli::RunCli({"chaos-sweep", "--fault-intensity-max", "abc"}, out).ok());
+  // NaN passes a [0, 1] range check, so the parser must refuse it.
+  for (const char* bad : {"abc", "nan", "inf"}) {
+    EXPECT_EQ(
+        cli::RunCli({"chaos-sweep", "--fault-intensity-max", bad}, out).code(),
+        StatusCode::kInvalidArgument)
+        << bad;
+  }
   EXPECT_FALSE(cli::RunCli({"chaos-sweep", "--fault-points", "0"}, out).ok());
   EXPECT_FALSE(cli::RunCli({"chaos-sweep", "--sla-us", "0"}, out).ok());
   EXPECT_FALSE(cli::RunCli({"chaos-sweep", "--bogus", "1"}, out).ok());

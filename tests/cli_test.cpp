@@ -205,8 +205,10 @@ TEST_F(CliTest, RecordIsDeterministicPerSeed) {
 TEST_F(CliTest, RecordRejectsBadZipf) {
   const std::string model_path = Path("model.txt");
   ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
-  auto [status, out] = Run({"record", model_path, "--zipf", "hot"});
-  EXPECT_FALSE(status.ok());
+  for (const char* bad : {"hot", "0.9abc", "-2", "nan"}) {
+    auto [status, out] = Run({"record", model_path, "--zipf", bad});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST_F(CliTest, SimulateRejectsMismatchedTrace) {
@@ -530,6 +532,15 @@ TEST_F(CliTest, PerfGateRejectsBadArguments) {
   EXPECT_FALSE(Run({"perfgate", "--baseline-dir", base_dir, "--current-dir",
                     Path("x"), "--tol", "nonsense"})
                    .first.ok());
+  // A NaN or infinite tolerance is refused, not compared against.
+  for (const auto& [option, value] :
+       {std::pair{"--tolerance", "nan"}, std::pair{"--tol", "p99_ns=inf"}}) {
+    const Status status = Run({"perfgate", "--baseline-dir", base_dir,
+                               "--current-dir", Path("x"), option, value})
+                              .first;
+    EXPECT_NE(status.message().find("expects a number"), std::string::npos)
+        << option << " " << value;
+  }
 }
 
 // A model name is any whitespace-free token, quotes and backslashes

@@ -47,8 +47,7 @@ TEST(StatusTest, AllCodesHaveNames) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kOutOfRange,
         StatusCode::kFailedPrecondition, StatusCode::kResourceExhausted,
-        StatusCode::kNotFound, StatusCode::kUnimplemented,
-        StatusCode::kInternal}) {
+        StatusCode::kNotFound, StatusCode::kInternal}) {
     EXPECT_FALSE(StatusCodeName(code).empty());
     EXPECT_NE(StatusCodeName(code), "UNKNOWN");
   }

@@ -8,7 +8,6 @@
 #include "embedding/embedding_table.hpp"
 #include "embedding/table_spec.hpp"
 #include "faults/fault_schedule.hpp"
-#include "hls/hls_stream.hpp"
 #include "memsim/channel_sim.hpp"
 #include "memsim/dram_timing.hpp"
 #include "tensor/matrix.hpp"
@@ -78,11 +77,6 @@ TEST(FailureDeathTest, MatrixOutOfBoundsAborts) {
 TEST(FailureDeathTest, MatrixRowOutOfBoundsAborts) {
   MatrixF m(2, 2);
   EXPECT_DEATH(m.row(7), "MICROREC_CHECK");
-}
-
-TEST(FailureDeathTest, HlsStreamUnderflowAborts) {
-  hls::Stream<int> stream;
-  EXPECT_DEATH(stream.Read(), "MICROREC_CHECK");
 }
 
 TEST(FailureDeathTest, EmbeddingLookupPastVocabularyAborts) {

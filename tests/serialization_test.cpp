@@ -62,6 +62,12 @@ TEST(ModelSerializationTest, RejectsMalformedInteger) {
       "microrec-model v1\nmlp 8 16\ntable 0 abc 4 4 t0\n");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("line 3"), std::string::npos);
+  // A negative count must not wrap around to a huge unsigned one.
+  const auto negative = ParseModel(
+      "microrec-model v1\nmax_onchip_tables -1\nmlp 4 16\n"
+      "table 0 10 4 4 t0\n");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_NE(negative.status().message().find("line 2"), std::string::npos);
 }
 
 TEST(ModelSerializationTest, RejectsInvalidTable) {
