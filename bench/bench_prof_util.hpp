@@ -6,14 +6,18 @@
 // Perf-gate contract: every prof_* field is volatile (counter values vary
 // run to run, and CI's timer tier reports zero counters where a perf host
 // reports real ones) -- callers must MarkVolatile "prof_*" -- while the
-// two classification booleans this helper puts in meta
-// (`gather_memory_bound`, `gemm_compute_bound`) are HARD-compared: the
-// gather's arithmetic intensity (~0.25 flops/byte) and the batched GEMM's
-// (tens of flops/byte) sit on opposite sides of any real machine's ridge
-// point, so the verdicts are host-independent even though the rates are
-// not. Backend tier and roofline ceilings are recorded as volatile
-// *numbers*, never strings/bools, so a perf-host baseline still
-// structurally matches a timer-tier CI run.
+// three booleans this helper puts in meta are HARD-compared:
+//   * `gather_memory_bound`, `gemm_compute_bound`: the gather's arithmetic
+//     intensity (~0.25 flops/byte) and the batched GEMM's (tens of
+//     flops/byte) sit on opposite sides of any real machine's ridge point,
+//     so the verdicts are host-independent even though the rates are not;
+//   * `gemm_within_roof`: the gemm phase reads at most 110% of the probed
+//     FMA roof. No kernel outruns the peak it is measured against, so a
+//     phase above it means the probe reads low; the 10% slack absorbs the
+//     timing noise between the probe and the phase.
+// Backend tier and roofline ceilings are recorded as volatile *numbers*,
+// never strings/bools, so a perf-host baseline still structurally matches
+// a timer-tier CI run.
 #pragma once
 
 #include <cstdio>
@@ -30,7 +34,11 @@ struct ProfSectionResult {
   obs::prof::ProfileReport report;
   bool gather_memory_bound = false;
   bool gemm_compute_bound = false;
+  bool gemm_within_roof = false;
 };
+
+/// Slack over 100% that `gemm_within_roof` allows the gemm phase.
+constexpr double kMaxGemmRoofPct = 110.0;
 
 /// Profiles `batches` batches of `batch` queries (fresh 1-thread engine so
 /// the thread-scoped counters see every instruction), prints the phase
@@ -83,9 +91,36 @@ inline ProfSectionResult RunProfSection(JsonReport& json,
       gather != nullptr && gather->bound == obs::prof::PhaseBound::kMemory;
   result.gemm_compute_bound =
       gemm != nullptr && gemm->bound == obs::prof::PhaseBound::kCompute;
+  result.gemm_within_roof =
+      gemm != nullptr && gemm->roof_pct <= kMaxGemmRoofPct;
   json.Meta("gather_memory_bound", result.gather_memory_bound);
   json.Meta("gemm_compute_bound", result.gemm_compute_bound);
+  json.Meta("gemm_within_roof", result.gemm_within_roof);
   return result;
+}
+
+/// The section's hard verdicts: prints a FAIL line and returns false when
+/// one does not hold.
+inline bool ProfSectionPassed(const ProfSectionResult& section) {
+  if (!section.gather_memory_bound || !section.gemm_compute_bound) {
+    std::printf("FAIL: roofline classification inverted (gather %s, gemm "
+                "%s); expected gather memory-bound and batched GEMM "
+                "compute-bound on every host\n",
+                section.gather_memory_bound ? "memory-bound"
+                                            : "NOT memory-bound",
+                section.gemm_compute_bound ? "compute-bound"
+                                           : "NOT compute-bound");
+    return false;
+  }
+  if (!section.gemm_within_roof) {
+    const obs::prof::PhaseReport* gemm = section.report.FindPhase("gemm");
+    std::printf("FAIL: gemm phase at %.1f%% of the probed FMA roof (%.1f "
+                "GOP/s), above the %.0f%% bound; the FMA probe reads low\n",
+                gemm != nullptr ? gemm->roof_pct : 0.0,
+                section.report.roofline.peak_gops, kMaxGemmRoofPct);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace microrec::bench

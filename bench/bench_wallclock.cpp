@@ -403,16 +403,7 @@ int main() {
                 "not enforced (measured %.2fx)\n", cpu_speedup_256);
   }
 
-  if (!prof_section.gather_memory_bound || !prof_section.gemm_compute_bound) {
-    std::printf("FAIL: roofline classification inverted (gather %s, gemm "
-                "%s); expected gather memory-bound and batched GEMM "
-                "compute-bound on every host\n",
-                prof_section.gather_memory_bound ? "memory-bound"
-                                                 : "NOT memory-bound",
-                prof_section.gemm_compute_bound ? "compute-bound"
-                                                : "NOT compute-bound");
-    return 1;
-  }
+  if (!bench::ProfSectionPassed(prof_section)) return 1;
 
   if (!all_identical) {
     std::printf("FAIL: a multi-thread run diverged from the 1-thread "

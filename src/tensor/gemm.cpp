@@ -138,16 +138,19 @@ void GemvAutoEx(std::span<const float> x, const MatrixF& b,
 }
 
 float FmaProbeKernelScalar(std::size_t iters) {
-  // 16 independent chains: enough ILP that the FMA (or mul+add) latency
-  // chains overlap; constants chosen to keep values bounded.
-  float acc[16];
-  for (std::size_t i = 0; i < 16; ++i) {
+  // kFmaProbeChainsScalar independent chains: enough ILP that the FMA (or
+  // mul+add) latency chains overlap; constants chosen to keep values
+  // bounded.
+  float acc[kFmaProbeChainsScalar];
+  for (std::size_t i = 0; i < kFmaProbeChainsScalar; ++i) {
     acc[i] = 0.5f + 0.01f * static_cast<float>(i);
   }
   const float m = 0.999f;
   const float a = 1e-3f;
   for (std::size_t it = 0; it < iters; ++it) {
-    for (std::size_t i = 0; i < 16; ++i) acc[i] = acc[i] * m + a;
+    for (std::size_t i = 0; i < kFmaProbeChainsScalar; ++i) {
+      acc[i] = acc[i] * m + a;
+    }
   }
   float sum = 0.0f;
   for (const float v : acc) sum += v;

@@ -62,8 +62,9 @@ void Gemv(std::span<const float> x, const MatrixF& b, std::span<float> y);
 void GemvEx(std::span<const float> x, const MatrixF& b, std::span<float> y,
             const GemmEpilogue& epilogue);
 
-/// AVX2+FMA GEMV (j-vectorized with the same per-element accumulation
-/// order as Gemv). Only call when CpuSupportsAvx2().
+/// AVX2+FMA GEMV (j-vectorized in 64-column blocks of eight FMA chains,
+/// with the same per-element accumulation order as Gemv). Only call when
+/// CpuSupportsAvx2().
 void GemvAvx2Ex(std::span<const float> x, const MatrixF& b,
                 std::span<float> y, const GemmEpilogue& epilogue);
 
@@ -78,15 +79,19 @@ constexpr std::size_t GemmOps(std::size_t m, std::size_t k, std::size_t n) {
 }
 
 /// FMA-peak probe kernels for the roofline layer (obs/prof/roofline.hpp):
-/// `iters` rounds over 16 independent accumulator chains (8 lanes each on
-/// AVX2), enough ILP to saturate both FMA ports. Returns a value-dependent
+/// `iters` rounds over independent accumulator chains (16 scalar chains;
+/// 12 chains of 8 lanes on AVX2, enough ILP to saturate both FMA ports
+/// while every chain stays in a ymm register). Returns a value-dependent
 /// checksum so the loop cannot be dead-code-eliminated; flops executed are
 /// FmaProbeFlops(iters, avx2). The AVX2 variant requires CpuSupportsAvx2().
+constexpr std::size_t kFmaProbeChainsScalar = 16;
+constexpr std::size_t kFmaProbeChainsAvx2 = 12;
 float FmaProbeKernelScalar(std::size_t iters);
 float FmaProbeKernelAvx2(std::size_t iters);
 
 constexpr std::uint64_t FmaProbeFlops(std::size_t iters, bool avx2) {
-  return 2ull * 16ull * (avx2 ? 8ull : 1ull) * iters;
+  return avx2 ? 2ull * kFmaProbeChainsAvx2 * 8ull * iters
+              : 2ull * kFmaProbeChainsScalar * iters;
 }
 
 }  // namespace microrec

@@ -8,9 +8,18 @@
 // once, with the bias+ReLU epilogue applied in registers at write-back.
 // Compared to a k-blocked kernel that streams C through memory on every
 // k-block, this trades 2 loads + 1 store per FMA for 8 loads per 12 FMAs,
-// moving the kernel from load-port-bound to FMA-bound. The j-loop is
-// outermost so one k x 16 B-panel stays L2-resident while every row block
-// of A streams past it.
+// moving the kernel from load-port-bound to FMA-bound. The row-block loop
+// is outermost: each block of up to 6 rows of A stays in L1 while it sweeps
+// every k x 16 panel of B, so B streams from L2/L3 once per row block.
+//
+// The accumulator tiles are arrays indexed by the row (or column-block)
+// loop. At -O2, which both the main build and perfbench pin, GCC does not
+// unroll those loops on its own, so the arrays would live on the stack and
+// every FMA would load and store its accumulator. Each such loop carries
+// `#pragma GCC unroll` with its largest trip count (6 = kMR rows in a
+// tile), which fully unrolls it; with only constant indices left, the
+// arrays become scalars and every accumulator stays in a ymm register
+// (6x16 tile: 12 accumulators + 2 B vectors + 1 broadcast).
 //
 // Accumulation order per element is p-ascending with a single FMA
 // accumulator, for every tile width, so results are independent of m/n
@@ -53,6 +62,7 @@ inline void Tile16(const float* a, std::size_t lda, const float* b,
                    std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
                    std::size_t j, const EpilogueCtx& ep) {
   __m256 acc0[MR], acc1[MR];
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
     acc0[r] = _mm256_setzero_ps();
     acc1[r] = _mm256_setzero_ps();
@@ -61,12 +71,14 @@ inline void Tile16(const float* a, std::size_t lda, const float* b,
   for (std::size_t p = 0; p < k; ++p, bp += ldb) {
     const __m256 b0 = _mm256_loadu_ps(bp);
     const __m256 b1 = _mm256_loadu_ps(bp + 8);
+#pragma GCC unroll 6
     for (int r = 0; r < MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
     _mm256_storeu_ps(c + r * ldc + j, ApplyEpilogue(acc0[r], ep, j));
     _mm256_storeu_ps(c + r * ldc + j + 8, ApplyEpilogue(acc1[r], ep, j + 8));
@@ -79,15 +91,18 @@ inline void Tile8(const float* a, std::size_t lda, const float* b,
                   std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
                   std::size_t j, const EpilogueCtx& ep) {
   __m256 acc[MR];
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
   const float* bp = b + j;
   for (std::size_t p = 0; p < k; ++p, bp += ldb) {
     const __m256 b0 = _mm256_loadu_ps(bp);
+#pragma GCC unroll 6
     for (int r = 0; r < MR; ++r) {
       acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), b0,
                                acc[r]);
     }
   }
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
     _mm256_storeu_ps(c + r * ldc + j, ApplyEpilogue(acc[r], ep, j));
   }
@@ -102,15 +117,18 @@ inline void TileTail(const float* a, std::size_t lda, const float* b,
                      const EpilogueCtx& ep) {
   const __m256i mask = LaneMask(lanes);
   __m256 acc[MR];
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
   const float* bp = b + j;
   for (std::size_t p = 0; p < k; ++p, bp += ldb) {
     const __m256 b0 = _mm256_maskload_ps(bp, mask);
+#pragma GCC unroll 6
     for (int r = 0; r < MR; ++r) {
       acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), b0,
                                acc[r]);
     }
   }
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
     __m256 v = acc[r];
     if (ep.bias != nullptr) {
@@ -173,9 +191,29 @@ void GemvAvx2Ex(std::span<const float> x, const MatrixF& b,
   const std::size_t k = b.rows(), n = b.cols();
   const EpilogueCtx ep{epilogue.bias.empty() ? nullptr : epilogue.bias.data(),
                        epilogue.relu};
-  // Column blocks of 16 with two register accumulators over the full k:
-  // B is streamed exactly once and y written exactly once.
+  // Column blocks over the full k, so B is streamed exactly once and y
+  // written exactly once. The 64-column block keeps eight independent FMA
+  // chains in flight, enough to cover the FMA latency on both ports; the
+  // 16-, 8- and masked blocks behind it take the remainder.
   std::size_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    __m256 acc[8];
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) acc[c] = _mm256_setzero_ps();
+    const float* bp = b.data() + j;
+    for (std::size_t p = 0; p < k; ++p, bp += n) {
+      const __m256 xv = _mm256_broadcast_ss(x.data() + p);
+#pragma GCC unroll 8
+      for (int c = 0; c < 8; ++c) {
+        acc[c] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(bp + 8 * c), acc[c]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) {
+      _mm256_storeu_ps(y.data() + j + 8 * c,
+                       ApplyEpilogue(acc[c], ep, j + 8 * c));
+    }
+  }
   for (; j + 16 <= n; j += 16) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
@@ -216,21 +254,28 @@ void GemvAvx2Ex(std::span<const float> x, const MatrixF& b,
 }
 
 float FmaProbeKernelAvx2(std::size_t iters) {
-  // 16 independent 8-lane FMA chains: at 2 FMA ports x ~4-cycle latency,
-  // 16 in-flight chains keep both ports saturated.
-  __m256 acc[16];
-  for (std::size_t i = 0; i < 16; ++i) {
+  // kFmaProbeChainsAvx2 independent 8-lane FMA chains: at 2 FMA ports x
+  // ~4-cycle latency, 8 in-flight chains saturate both ports, and 12
+  // chains plus the 2 constants still fit the 16 ymm registers. The
+  // unrolled loops leave only constant indices, so no chain spills.
+  __m256 acc[kFmaProbeChainsAvx2];
+#pragma GCC unroll 12
+  for (std::size_t i = 0; i < kFmaProbeChainsAvx2; ++i) {
     acc[i] = _mm256_set1_ps(0.5f + 0.01f * static_cast<float>(i));
   }
   const __m256 m = _mm256_set1_ps(0.999f);
   const __m256 a = _mm256_set1_ps(1e-3f);
   for (std::size_t it = 0; it < iters; ++it) {
-    for (std::size_t i = 0; i < 16; ++i) {
+#pragma GCC unroll 12
+    for (std::size_t i = 0; i < kFmaProbeChainsAvx2; ++i) {
       acc[i] = _mm256_fmadd_ps(acc[i], m, a);
     }
   }
   __m256 sum = _mm256_setzero_ps();
-  for (std::size_t i = 0; i < 16; ++i) sum = _mm256_add_ps(sum, acc[i]);
+#pragma GCC unroll 12
+  for (std::size_t i = 0; i < kFmaProbeChainsAvx2; ++i) {
+    sum = _mm256_add_ps(sum, acc[i]);
+  }
   alignas(32) float lanes[8];
   _mm256_store_ps(lanes, sum);
   float total = 0.0f;

@@ -469,12 +469,20 @@ TEST_P(GemvFusedTest, MatchesGemmRowAndScalar) {
   }
 }
 
+// Column counts cover the AVX2 GEMV's 64-column block alone (64, 512, 1024),
+// followed by every remainder path: 91 = 64+16+8+3, 127 = 64+3x16+8+7,
+// 130 = 2x64+2.
 INSTANTIATE_TEST_SUITE_P(Shapes, GemvFusedTest,
                          ::testing::Values(std::make_tuple(1, 1),
                                            std::make_tuple(352, 1024),
                                            std::make_tuple(13, 9),
                                            std::make_tuple(100, 8),
-                                           std::make_tuple(64, 17)));
+                                           std::make_tuple(64, 17),
+                                           std::make_tuple(352, 64),
+                                           std::make_tuple(100, 91),
+                                           std::make_tuple(1024, 512),
+                                           std::make_tuple(33, 130),
+                                           std::make_tuple(5, 127)));
 
 TEST(GemmOpsTest, CountsTwoOpsPerMac) {
   EXPECT_EQ(GemmOps(1, 352, 1024), 2ull * 352 * 1024);

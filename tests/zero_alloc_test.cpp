@@ -33,6 +33,16 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_frees{0};
 
+// Every operator delete replacement frees through here, so each variant
+// counts once and none forwards to another replaced operator. Out of line
+// because the replaced operator new is malloc-based: inlined into a
+// `delete` of a `new`-ed pointer, the free() reads to GCC as a
+// mismatched deallocation (-Wmismatched-new-delete).
+[[gnu::noinline]] void CountedFree(void* p) noexcept {
+  g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -57,24 +67,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedFree(p);
 }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedFree(p);
 }
 
 namespace microrec {

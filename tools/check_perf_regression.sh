@@ -18,8 +18,10 @@
 # per-phase counter/roofline number (IPC, GB/s, roof %, latency
 # percentiles, backend tier) instead of enumerating them, while the
 # host-independent classification booleans -- gather_memory_bound,
-# gemm_compute_bound -- stay hard-compared so a misattributed phase or a
-# broken roofline probe fails the gate even though the raw rates float.
+# gemm_compute_bound -- and gemm_within_roof (the gemm phase at no more
+# than 110% of the probed FMA roof) stay hard-compared so a misattributed
+# phase or a roofline probe that reads low fails the gate even though the
+# raw rates float.
 #
 # Usage: tools/check_perf_regression.sh [build-dir] [out-dir]
 # Exit status is microrec perfgate's: non-zero when any metric drifts.
