@@ -1,15 +1,22 @@
 #include "common/zipf.hpp"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/status.hpp"
 
 namespace microrec {
 
-double GeneralizedHarmonic(std::uint64_t n, double theta) {
-  // Exact summation below the cutoff; Euler-Maclaurin tail above it. The
-  // approximation error is far below what any sampler statistic can resolve.
-  constexpr std::uint64_t kExactCutoff = 1u << 20;
+namespace {
+
+constexpr std::uint64_t kExactCutoff = 1u << 20;
+
+// Exact summation below the cutoff; Euler-Maclaurin tail above it. The
+// approximation error is far below what any sampler statistic can resolve.
+double ComputeHarmonic(std::uint64_t n, double theta) {
   if (n <= kExactCutoff) {
     double sum = 0.0;
     for (std::uint64_t i = 1; i <= n; ++i) {
@@ -28,6 +35,29 @@ double GeneralizedHarmonic(std::uint64_t n, double theta) {
   }
   // First-order Euler-Maclaurin correction terms.
   sum += 0.5 * (std::pow(b, -theta) - std::pow(a, -theta));
+  return sum;
+}
+
+}  // namespace
+
+double GeneralizedHarmonic(std::uint64_t n, double theta) {
+  // Memoized per (n, theta's bit pattern). An exact 2^20-term sum costs
+  // tens of ms, and every hot-cache fleet build and delta stream asks for
+  // the same few; the sum is a pure function of its key, so a hit is the
+  // identical double. The lock is not held while summing: two threads
+  // that miss together both compute, and the second insert is a no-op.
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, std::uint64_t>, double> memo;
+  const std::pair<std::uint64_t, std::uint64_t> key{
+      n, std::bit_cast<std::uint64_t>(theta)};
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto it = memo.find(key);
+    if (it != memo.end()) return it->second;
+  }
+  const double sum = ComputeHarmonic(n, theta);
+  const std::lock_guard<std::mutex> lock(mu);
+  memo.emplace(key, sum);
   return sum;
 }
 

@@ -14,7 +14,9 @@ namespace microrec {
 
 /// Samples ranks in [0, n) with probability proportional to 1/(rank+1)^theta.
 /// Uses the Gray/ YCSB-style rejection-inversion free method with a
-/// precomputed harmonic normaliser: O(1) per sample after O(1) setup.
+/// precomputed harmonic normaliser: O(1) per sample. Setup sums the
+/// normaliser once per distinct (n, theta) in the process (see
+/// GeneralizedHarmonic); later samplers of the same shape reuse it.
 class ZipfSampler {
  public:
   /// n must be >= 1; theta in [0, ~2]. theta == 0 degenerates to uniform.
@@ -39,7 +41,9 @@ class ZipfSampler {
 };
 
 /// Generalized harmonic number H_{n,theta} = sum_{i=1..n} 1/i^theta.
-/// O(n) exact for small n, asymptotic approximation for large n.
+/// O(n) exact for n <= 2^20 (summed in index order), that exact prefix
+/// plus an asymptotic tail for larger n. Memoized per (n, theta) and safe
+/// to call from any thread: a repeated call returns the identical double.
 double GeneralizedHarmonic(std::uint64_t n, double theta);
 
 }  // namespace microrec

@@ -21,12 +21,18 @@
 //     streams of several backends is a total order and every downstream
 //     consumer -- policy feedback, SLO evaluation, reports -- is
 //     reproducible bit for bit.
+//   * NextDueNs() bounds Drain from below: at any now < NextDueNs(),
+//     Drain(now) emits nothing and changes nothing a probe can see, so the
+//     serving loop drains only backends that are due. Completions already
+//     resolved count, and so does any state change Drain would make (the
+//     batched backend launching a batch).
 //   * The cost model and queue-depth probes are pure: calling them any
 //     number of times never changes a simulation result. Policies rely on
 //     this to rank backends without perturbing them.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <string_view>
 #include <vector>
@@ -111,6 +117,11 @@ class Backend {
   /// calls). Returns false when the query is unservable (shed).
   virtual bool Admit(const SchedQuery& q) = 0;
 
+  /// Earliest `now` at which Drain could emit a completion or launch
+  /// work: +inf when nothing is in flight, -inf when any Drain may act.
+  /// Pure, like the probes.
+  virtual Nanoseconds NextDueNs() const = 0;
+
   /// Appends every completion with completion_ns <= now, sorted by
   /// (completion time, query id).
   virtual void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) = 0;
@@ -131,6 +142,12 @@ class CompletionQueue {
   }
 
   std::size_t size() const { return heap_.size(); }
+
+  /// Earliest queued completion time; +inf when empty.
+  Nanoseconds EarliestNs() const {
+    return heap_.empty() ? std::numeric_limits<Nanoseconds>::infinity()
+                         : heap_.top().first;
+  }
 
   /// Pops everything with completion <= now into `out`, in order.
   void DrainUntil(Nanoseconds now, std::vector<SchedCompletion>& out) {

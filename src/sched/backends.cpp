@@ -156,9 +156,8 @@ bool CpuBatchedBackend::Admit(const SchedQuery& q) {
   return true;
 }
 
-void CpuBatchedBackend::Resolve(
-    const std::vector<std::pair<std::size_t, Nanoseconds>>& raw) {
-  for (const auto& [unit_id, completion] : raw) {
+void CpuBatchedBackend::Resolve() {
+  for (const auto& [unit_id, completion] : raw_) {
     auto it = in_flight_.find(unit_id);
     MICROREC_CHECK(it != in_flight_.end());
     auto& [remaining, latest] = it->second;
@@ -168,22 +167,29 @@ void CpuBatchedBackend::Resolve(
       in_flight_.erase(it);
     }
   }
+  raw_.clear();
+}
+
+Nanoseconds CpuBatchedBackend::NextDueNs() const {
+  Nanoseconds due = done_.EarliestNs();
+  for (const auto& server : servers_) {
+    due = std::min(due, server.NextLaunchNs());
+  }
+  return due;
 }
 
 void CpuBatchedBackend::Drain(Nanoseconds now,
                               std::vector<SchedCompletion>& out) {
-  std::vector<std::pair<std::size_t, Nanoseconds>> raw;
-  for (auto& server : servers_) server.Flush(now, raw);
-  Resolve(raw);
+  for (auto& server : servers_) server.Flush(now, raw_);
+  Resolve();
   done_.DrainUntil(now, out);
 }
 
 void CpuBatchedBackend::Finalize(std::vector<SchedCompletion>& out) {
-  std::vector<std::pair<std::size_t, Nanoseconds>> raw;
   for (auto& server : servers_) {
-    server.Flush(0.0, raw, /*final_flush=*/true);
+    server.Flush(0.0, raw_, /*final_flush=*/true);
   }
-  Resolve(raw);
+  Resolve();
   done_.DrainAll(out);
 }
 

@@ -64,6 +64,7 @@ class PipelineBackend : public Backend {
   Nanoseconds QueueDepthNs(Nanoseconds now) const override;
   bool Accepting(Nanoseconds now) const override;
   bool Admit(const SchedQuery& q) override;
+  Nanoseconds NextDueNs() const override { return done_.EarliestNs(); }
   void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
   void Finalize(std::vector<SchedCompletion>& out) override;
 
@@ -109,13 +110,16 @@ class CpuBatchedBackend : public Backend {
   double capacity_items_per_s() const override;
   Nanoseconds QueueDepthNs(Nanoseconds now) const override;
   bool Admit(const SchedQuery& q) override;
+  /// The earliest resolved completion, or the earliest batch launch of
+  /// any server (-inf once a full batch may be queued).
+  Nanoseconds NextDueNs() const override;
   void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
   void Finalize(std::vector<SchedCompletion>& out) override;
 
  private:
-  /// Resolves raw (unit id, batch completion) pairs into whole-query
-  /// completions pushed onto done_.
-  void Resolve(const std::vector<std::pair<std::size_t, Nanoseconds>>& raw);
+  /// Resolves the (unit id, batch completion) pairs in raw_ into
+  /// whole-query completions pushed onto done_, then clears raw_.
+  void Resolve();
 
   CpuBackendConfig config_;
   BackendCostModel cost_;
@@ -125,6 +129,7 @@ class CpuBatchedBackend : public Backend {
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, Nanoseconds>>
       in_flight_;
   CompletionQueue done_;
+  std::vector<std::pair<std::size_t, Nanoseconds>> raw_;
 };
 
 // ---------------------------------------------------------------------------
@@ -156,6 +161,7 @@ class HotCacheBackend : public Backend {
   double capacity_items_per_s() const override;
   Nanoseconds QueueDepthNs(Nanoseconds now) const override;
   bool Admit(const SchedQuery& q) override;
+  Nanoseconds NextDueNs() const override { return done_.EarliestNs(); }
   void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
   void Finalize(std::vector<SchedCompletion>& out) override;
 

@@ -25,6 +25,7 @@
 // healthy scheduler and is gated by tests/chaos_test.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -96,6 +97,11 @@ class FaultInjectedBackend : public Backend {
   Nanoseconds QueueDepthNs(Nanoseconds now) const override;
   bool Accepting(Nanoseconds now) const override;
   bool Admit(const SchedQuery& q) override;
+  /// The inner machine's bound or the earliest transformed completion,
+  /// whichever is sooner (both transforms only delay completions).
+  Nanoseconds NextDueNs() const override {
+    return std::min(inner_->NextDueNs(), done_.EarliestNs());
+  }
   void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
   void Finalize(std::vector<SchedCompletion>& out) override;
 

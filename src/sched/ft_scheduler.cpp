@@ -15,20 +15,20 @@ namespace microrec::sched {
 namespace {
 
 constexpr std::size_t kNoPick = std::numeric_limits<std::size_t>::max();
+constexpr std::uint32_t kNoAttempt = std::numeric_limits<std::uint32_t>::max();
 
 enum class EventKind : std::uint8_t { kAdmission, kTimeout, kDeadline };
 
 struct Event {
   Nanoseconds time = 0.0;
   std::uint64_t seq = 0;  ///< FIFO among equal-time events; total order
-  EventKind kind = EventKind::kAdmission;
   std::uint64_t query = 0;
   /// kAdmission: 0 = original, k >= 1 = k-th retry.
   std::uint32_t attempt = 0;
+  /// kTimeout: the timed-out attempt's index in the attempt arena.
+  std::uint32_t record = 0;
+  EventKind kind = EventKind::kAdmission;
   bool is_hedge = false;
-  /// kTimeout: which dispatched attempt timed out, and where it ran.
-  std::uint64_t token = 0;
-  std::size_t backend = 0;
 };
 
 struct EventLater {
@@ -38,10 +38,11 @@ struct EventLater {
   }
 };
 
-/// One dispatched admission of a query.
+/// One dispatched admission of a query. Records live in one arena in
+/// dispatch order; each query chains its own newest-first through `prev`.
 struct AttemptRec {
-  std::uint64_t token = 0;
-  std::size_t backend = 0;
+  std::uint32_t prev = kNoAttempt;  ///< the query's previous attempt
+  std::uint8_t backend = 0;         ///< fleets have at most 32 backends
   bool is_hedge = false;
   bool timed_out = false;
   bool completed = false;
@@ -49,15 +50,15 @@ struct AttemptRec {
 
 enum class Terminal : std::uint8_t { kPending, kServed, kShed, kTimedOut };
 
+/// Per-query state; the arrival stays in the offered query.
 struct QueryState {
-  Nanoseconds arrival = 0.0;
   Nanoseconds completion = 0.0;
-  Terminal terminal = Terminal::kPending;
+  std::uint32_t last_attempt = kNoAttempt;  ///< newest AttemptRec
   std::uint32_t admitted = 0;     ///< dispatched admissions (hedges incl.)
   std::uint32_t retry_count = 0;  ///< sequential retries scheduled
   std::uint32_t tried_mask = 0;   ///< backends this query has been admitted to
+  Terminal terminal = Terminal::kPending;
   bool hedge_scheduled = false;
-  std::vector<AttemptRec> attempts;
 };
 
 struct TaggedCompletion {
@@ -122,16 +123,18 @@ FtSchedReport SimulateFaultTolerantServing(
     elog->set_backend_names(std::move(names));
   }
 
-  std::vector<QueryState> states(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     // GenerateLoad's contract: ids 0..n-1 in stream order (the
     // re-admission path recovers a query's sizes from its id) and
-    // nondecreasing arrivals (every backend's admit-time contract).
+    // nondecreasing arrivals (every backend's admit-time contract, and
+    // what lets the loop read originals straight from the stream).
     MICROREC_CHECK(queries[i].id == i);
     MICROREC_CHECK(i == 0 ||
                    queries[i].arrival_ns >= queries[i - 1].arrival_ns);
-    states[i].arrival = queries[i].arrival_ns;
   }
+  std::vector<QueryState> states(queries.size());
+  std::vector<AttemptRec> attempts;
+  attempts.reserve(queries.size());
 
   std::vector<CircuitBreaker> breakers;
   if (breakers_on) {
@@ -168,20 +171,14 @@ FtSchedReport SimulateFaultTolerantServing(
       obs::HistogramOptions{/*min_value=*/1000.0, /*growth=*/1.2,
                             /*num_buckets=*/96});
 
+  // Everything scheduled after an arrival: retries, hedges, timeouts and
+  // deadlines. Original admissions never enter it (see the event loop).
   std::priority_queue<Event, std::vector<Event>, EventLater> events;
   std::uint64_t next_seq = 0;
-  std::uint64_t next_token = 1;
   const auto push_event = [&](Event e) {
     e.seq = next_seq++;
     events.push(e);
   };
-  for (const SchedQuery& q : queries) {
-    Event e;
-    e.time = q.arrival_ns;
-    e.kind = EventKind::kAdmission;
-    e.query = q.id;
-    push_event(e);
-  }
 
   // ---- Completion delivery --------------------------------------------
   std::vector<SchedCompletion> backend_scratch;
@@ -197,14 +194,16 @@ FtSchedReport SimulateFaultTolerantServing(
               });
     for (const TaggedCompletion& c : step) {
       QueryState& s = states[c.query_id];
+      const Nanoseconds arrival = queries[c.query_id].arrival_ns;
       // Match the completion to its earliest outstanding attempt on this
       // backend (a query is admitted at most once per backend, but the
-      // lookup shape stays correct if that ever changes).
+      // lookup shape stays correct if that ever changes). The chain runs
+      // newest-first, so the last match is the earliest.
       AttemptRec* attempt = nullptr;
-      for (AttemptRec& a : s.attempts) {
-        if (a.backend == c.backend && !a.completed) {
-          attempt = &a;
-          break;
+      for (std::uint32_t i = s.last_attempt; i != kNoAttempt;
+           i = attempts[i].prev) {
+        if (attempts[i].backend == c.backend && !attempts[i].completed) {
+          attempt = &attempts[i];
         }
       }
       MICROREC_CHECK(attempt != nullptr);
@@ -215,12 +214,12 @@ FtSchedReport SimulateFaultTolerantServing(
       if (s.terminal == Terminal::kPending) {
         s.terminal = Terminal::kServed;
         s.completion = c.completion_ns;
-        const Nanoseconds latency = c.completion_ns - s.arrival;
-        policy.OnOutcome({s.arrival, latency, true});
+        const Nanoseconds latency = c.completion_ns - arrival;
+        policy.OnOutcome({arrival, latency, true});
         if (options.hedge.enabled) latency_hist.Observe(latency);
         if (attempt->is_hedge) {
           ++report.hedge_wins;
-          report.hedge_win_arrival_ns.push_back(s.arrival);
+          report.hedge_win_arrival_ns.push_back(arrival);
         }
         if (elog != nullptr) {
           obs::SchedEvent ev;
@@ -254,6 +253,9 @@ FtSchedReport SimulateFaultTolerantServing(
   };
   const auto drain_until = [&](Nanoseconds now) {
     for (std::size_t b = 0; b < n_backends; ++b) {
+      // Before its NextDueNs a backend has nothing to emit and nothing to
+      // launch (the Backend contract), so skipping it changes nothing.
+      if (backends[b]->NextDueNs() > now) continue;
       backend_scratch.clear();
       backends[b]->Drain(now, backend_scratch);
       for (const SchedCompletion& c : backend_scratch) {
@@ -281,6 +283,7 @@ FtSchedReport SimulateFaultTolerantServing(
   // ---- Admission -------------------------------------------------------
   const auto handle_admission = [&](const Event& e) {
     QueryState& s = states[e.query];
+    const Nanoseconds arrival = queries[e.query].arrival_ns;
     if (s.terminal != Terminal::kPending) return;  // resolved before firing
     if (e.is_hedge && s.admitted == 0) return;     // primary never admitted
     SchedQuery q2;
@@ -392,7 +395,7 @@ FtSchedReport SimulateFaultTolerantServing(
               << (all_open ? " (all breakers open): shedding"
                            : " (nothing accepting): shedding");
           s.terminal = Terminal::kShed;
-          policy.OnOutcome({s.arrival, 0.0, false});
+          policy.OnOutcome({arrival, 0.0, false});
           if (elog != nullptr) {
             obs::SchedEvent ev;
             ev.time_ns = e.time;
@@ -414,7 +417,7 @@ FtSchedReport SimulateFaultTolerantServing(
                                                : " (re-admission attempt)");
       if (s.admitted == 0) {
         s.terminal = Terminal::kShed;
-        policy.OnOutcome({s.arrival, 0.0, false});
+        policy.OnOutcome({arrival, 0.0, false});
         if (elog != nullptr) {
           obs::SchedEvent ev;
           ev.time_ns = e.time;
@@ -432,11 +435,14 @@ FtSchedReport SimulateFaultTolerantServing(
     report.base.usage[pick].items += q2.items;
     ++s.admitted;
     s.tried_mask |= 1u << pick;
+    MICROREC_CHECK(attempts.size() < kNoAttempt);
+    const auto record = static_cast<std::uint32_t>(attempts.size());
     AttemptRec attempt;
-    attempt.token = next_token++;
-    attempt.backend = pick;
+    attempt.prev = s.last_attempt;
+    attempt.backend = static_cast<std::uint8_t>(pick);
     attempt.is_hedge = e.is_hedge;
-    s.attempts.push_back(attempt);
+    attempts.push_back(attempt);
+    s.last_attempt = record;
     if (forced) ++report.forced_admits;
     if (breakers_on && breakers[pick].state() == BreakerState::kHalfOpen) {
       breakers[pick].OnDispatch(e.time);
@@ -461,14 +467,13 @@ FtSchedReport SimulateFaultTolerantServing(
       timeout.time = e.time + options.retry.attempt_timeout_ns;
       timeout.kind = EventKind::kTimeout;
       timeout.query = e.query;
-      timeout.token = attempt.token;
-      timeout.backend = pick;
+      timeout.record = record;
       push_event(timeout);
     }
     if (e.attempt == 0 && !e.is_hedge) {
       if (options.deadline_ns > 0.0) {
         Event deadline;
-        deadline.time = s.arrival + options.deadline_ns;
+        deadline.time = arrival + options.deadline_ns;
         deadline.kind = EventKind::kDeadline;
         deadline.query = e.query;
         push_event(deadline);
@@ -502,17 +507,11 @@ FtSchedReport SimulateFaultTolerantServing(
   // ---- Timeout / deadline ---------------------------------------------
   const auto handle_timeout = [&](const Event& e) {
     QueryState& s = states[e.query];
-    AttemptRec* attempt = nullptr;
-    for (AttemptRec& a : s.attempts) {
-      if (a.token == e.token) {
-        attempt = &a;
-        break;
-      }
-    }
-    MICROREC_CHECK(attempt != nullptr);
-    if (attempt->completed) return;  // finished inside the timeout
-    attempt->timed_out = true;
-    if (breakers_on) breakers[e.backend].OnFailure(e.time);
+    const Nanoseconds arrival = queries[e.query].arrival_ns;
+    AttemptRec& attempt = attempts[e.record];
+    if (attempt.completed) return;  // finished inside the timeout
+    attempt.timed_out = true;
+    if (breakers_on) breakers[attempt.backend].OnFailure(e.time);
     // Re-admit after backoff, if budget and deadline allow. `no_retry`
     // names the reason the retry chain ends here (recorded on the
     // timeout event); empty = a retry was scheduled.
@@ -527,7 +526,7 @@ FtSchedReport SimulateFaultTolerantServing(
       ++s.retry_count;
       backoff = options.retry.BackoffAfterAttempt(s.retry_count);
       const Nanoseconds t = e.time + backoff;
-      if (options.deadline_ns > 0.0 && t >= s.arrival + options.deadline_ns) {
+      if (options.deadline_ns > 0.0 && t >= arrival + options.deadline_ns) {
         no_retry = "past-deadline";
       } else {
         scheduled = true;
@@ -544,8 +543,8 @@ FtSchedReport SimulateFaultTolerantServing(
       ev.time_ns = e.time;
       ev.kind = obs::SchedEventKind::kAttemptTimeout;
       ev.query = e.query;
-      ev.hedge = attempt->is_hedge;
-      ev.backend = static_cast<std::int32_t>(e.backend);
+      ev.hedge = attempt.is_hedge;
+      ev.backend = static_cast<std::int32_t>(attempt.backend);
       ev.label = no_retry;
       elog->Append(std::move(ev));
       if (scheduled) {
@@ -562,10 +561,11 @@ FtSchedReport SimulateFaultTolerantServing(
 
   const auto handle_deadline = [&](const Event& e) {
     QueryState& s = states[e.query];
+    const Nanoseconds arrival = queries[e.query].arrival_ns;
     if (s.terminal != Terminal::kPending) return;
     s.terminal = Terminal::kTimedOut;
     ++report.timed_out;
-    policy.OnOutcome({s.arrival, 0.0, false});
+    policy.OnOutcome({arrival, 0.0, false});
     if (elog != nullptr) {
       obs::SchedEvent ev;
       ev.time_ns = e.time;
@@ -578,9 +578,22 @@ FtSchedReport SimulateFaultTolerantServing(
   };
 
   // ---- Event loop ------------------------------------------------------
-  while (!events.empty()) {
-    const Event e = events.top();
-    events.pop();
+  // Two sources merge in (time, seq) order: original admissions straight
+  // from the sorted stream, and the heap. An original takes a time tie,
+  // as it would as a heap event: originals would hold seqs 0..n-1, ahead
+  // of everything scheduled during the run.
+  std::size_t next_original = 0;
+  while (next_original < queries.size() || !events.empty()) {
+    Event e;
+    if (next_original < queries.size() &&
+        (events.empty() ||
+         queries[next_original].arrival_ns <= events.top().time)) {
+      e.time = queries[next_original].arrival_ns;
+      e.query = next_original++;
+    } else {
+      e = events.top();
+      events.pop();
+    }
     drain_until(e.time);
     run_probes(e.time);
     switch (e.kind) {
@@ -616,13 +629,14 @@ FtSchedReport SimulateFaultTolerantServing(
   std::vector<Nanoseconds> served_completions;
   std::vector<obs::QueryOutcome> outcomes;
   outcomes.reserve(states.size());
-  for (const QueryState& s : states) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const QueryState& s = states[i];
     obs::QueryOutcome outcome;
-    outcome.arrival_ns = s.arrival;
+    outcome.arrival_ns = queries[i].arrival_ns;
     outcome.served = s.terminal == Terminal::kServed;
     if (outcome.served) {
-      outcome.latency_ns = s.completion - s.arrival;
-      served_arrivals.push_back(s.arrival);
+      outcome.latency_ns = s.completion - outcome.arrival_ns;
+      served_arrivals.push_back(outcome.arrival_ns);
       served_completions.push_back(s.completion);
     }
     outcomes.push_back(outcome);

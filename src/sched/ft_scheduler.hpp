@@ -5,7 +5,10 @@
 // over two. It runs as a discrete-event simulation so queries can be
 // re-admitted after their arrival instant -- which is what deadlines,
 // retries, and hedges require -- while every backend still sees
-// nondecreasing admit times (its contract).
+// nondecreasing admit times (its contract). Original admissions are read
+// from the sorted stream and win time ties; only re-admissions, timeouts
+// and deadlines go through the event heap, and before each event only
+// backends whose Backend::NextDueNs has come are drained.
 //
 // Base behaviour: each query is routed once at its arrival, the policy's
 // pick is admitted unconditionally (a rejected admit is a shed), and

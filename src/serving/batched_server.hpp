@@ -11,7 +11,9 @@
 // gates the adapter against that offline reference).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -68,6 +70,18 @@ class OnlineBatchedServer {
                      pending_.begin() + static_cast<std::ptrdiff_t>(count));
       server_free_ = done;
     }
+  }
+
+  /// Earliest `now` at which Flush could launch a batch: +inf with
+  /// nothing queued, -inf once max_batch queries are (a full batch
+  /// launches at any Flush), else the front window's close (a non-full
+  /// batch launches once `now` passes it).
+  Nanoseconds NextLaunchNs() const {
+    if (pending_.empty()) return std::numeric_limits<Nanoseconds>::infinity();
+    if (pending_.size() >= max_batch_) {
+      return -std::numeric_limits<Nanoseconds>::infinity();
+    }
+    return std::max(pending_.front().arrival, server_free_) + timeout_;
   }
 
   /// Time the server finishes its last launched batch (0 before any).

@@ -470,6 +470,48 @@ TEST(FtSchedulerTest, DeadlineTimesOutStuckQueriesExactlyOnce) {
   EXPECT_EQ(report.cancelled_completions, 10u);
 }
 
+TEST(FtSchedulerTest, OriginalWinsTimeTieAgainstHeapEvents) {
+  // Query 0's attempt on the slow backend times out at exactly query 1's
+  // arrival. Originals come from the stream and the timeout from the
+  // event heap; at equal times the original goes first, as it did when
+  // every original held a lower sequence number than any scheduled event.
+  std::vector<std::unique_ptr<sched::Backend>> fleet;
+  fleet.push_back(MakePipeline("slow", Milliseconds(1), 300.0));
+  fleet.push_back(MakePipeline("fast", Microseconds(10), 300.0));
+  const auto queries =
+      sched::SingleItemQueries({0.0, Microseconds(100), Microseconds(300)});
+
+  auto policy = sched::MakeStaticPolicy(0, "static:slow");
+  obs::EventLog log;
+  sched::FtOptions options;
+  options.base.sla_ns = Milliseconds(2);
+  options.retries_enabled = true;
+  options.retry.max_attempts = 2;
+  options.retry.attempt_timeout_ns = Microseconds(100);
+  options.retry.initial_backoff_ns = Microseconds(10);
+  options.event_log = &log;
+  const sched::FtSchedReport report =
+      sched::SimulateFaultTolerantServing(queries, fleet, *policy, options);
+  EXPECT_EQ(report.base.served, 3u);
+  EXPECT_EQ(report.retries, 3u);
+
+  const auto index_of = [&](obs::SchedEventKind kind, std::uint64_t query) {
+    const auto& events = log.events();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind == kind && events[i].query == query) return i;
+    }
+    ADD_FAILURE() << obs::SchedEventKindName(kind) << " of query " << query
+                  << " not recorded";
+    return events.size();
+  };
+  const std::size_t route = index_of(obs::SchedEventKind::kRoute, 1);
+  const std::size_t timeout = index_of(obs::SchedEventKind::kAttemptTimeout, 0);
+  ASSERT_LT(route, log.events().size());
+  ASSERT_LT(timeout, log.events().size());
+  EXPECT_EQ(log.events()[route].time_ns, log.events()[timeout].time_ns);
+  EXPECT_LT(route, timeout);
+}
+
 TEST(FtSchedulerTest, AllBreakersOpenShedsLargeAndForceAdmitsSmall) {
   // Both backends crash over [20us, 50us); probes trip both breakers open
   // mid-window, and the 1 ms cool-down holds them open long after the

@@ -2,12 +2,15 @@
 // thread pool, streaming statistics, and table formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -233,11 +236,68 @@ TEST(ZipfTest, SingleElementAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
 }
 
+/// H_{n,theta} as documented, computed here without the memo: the exact
+/// in-order sum up to 2^20 terms, then the Euler-Maclaurin tail.
+double DirectHarmonic(std::uint64_t n, double theta) {
+  constexpr std::uint64_t kCutoff = 1u << 20;
+  double sum = 0.0;
+  for (std::uint64_t i = 1; i <= std::min(n, kCutoff); ++i) {
+    sum += std::pow(static_cast<double>(i), -theta);
+  }
+  if (n <= kCutoff) return sum;
+  const double a = static_cast<double>(kCutoff);
+  const double b = static_cast<double>(n);
+  if (std::abs(theta - 1.0) < 1e-12) {
+    sum += std::log(b / a);
+  } else {
+    sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
+           (1.0 - theta);
+  }
+  sum += 0.5 * (std::pow(b, -theta) - std::pow(a, -theta));
+  return sum;
+}
+
 TEST(ZipfTest, GeneralizedHarmonicMatchesDirectSum) {
-  for (double theta : {0.0, 0.5, 1.0, 1.5}) {
-    double direct = 0.0;
-    for (int i = 1; i <= 1000; ++i) direct += std::pow(i, -theta);
-    EXPECT_NEAR(GeneralizedHarmonic(1000, theta), direct, 1e-9);
+  // Shapes no other test uses, so the first call here misses the memo and
+  // the second hits it; both must be the direct sum, bit for bit.
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{1001}, (std::uint64_t{1} << 20) - 3,
+        (std::uint64_t{1} << 20) + 12'345, std::uint64_t{3} << 24}) {
+    for (const double theta : {0.0, 0.37, 1.0, 1.5}) {
+      const double first = GeneralizedHarmonic(n, theta);
+      const double repeated = GeneralizedHarmonic(n, theta);
+      EXPECT_EQ(first, DirectHarmonic(n, theta))
+          << "n=" << n << " theta=" << theta;
+      EXPECT_EQ(repeated, first) << "n=" << n << " theta=" << theta;
+    }
+  }
+}
+
+TEST(ZipfTest, HarmonicMemoIsThreadSafe) {
+  // Four threads race to build the hot-cache fleet's sampler on a cold
+  // memo; every copy must agree bit for bit.
+  constexpr int kThreads = 4;
+  std::vector<std::optional<ZipfSampler>> samplers(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&samplers, &ready, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      samplers[t].emplace(std::uint64_t{1} << 20, 0.95);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) {
+    for (const std::uint64_t rank : {0u, 1u, 7u, 1000u, (1u << 20) - 1}) {
+      EXPECT_EQ(samplers[t]->Pmf(rank), samplers[0]->Pmf(rank));
+    }
+    Rng a(11);
+    Rng b(11);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(samplers[t]->Sample(a), samplers[0]->Sample(b));
+    }
   }
 }
 

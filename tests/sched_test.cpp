@@ -16,16 +16,20 @@
 //     headline rows are consistent with the grid records.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cli/commands.hpp"
 #include "faults/fault_schedule.hpp"
 #include "sched/backend.hpp"
 #include "sched/backends.hpp"
+#include "sched/fault_model.hpp"
 #include "sched/fleet.hpp"
 #include "sched/ft_scheduler.hpp"
 #include "sched/load_gen.hpp"
@@ -415,6 +419,139 @@ TEST(SchedBackendTest, HotCacheWarmsUpAndRefinesItsCostModel) {
   EXPECT_GT(backend.hit_rate(), 0.5);  // a skewed stream warms the cache
   // The cost model's fixed term follows the observed hit rate downward.
   EXPECT_LT(backend.cost_model().fixed_ns, cold_fixed);
+}
+
+/// What ExpectDrainBoundedByNextDue saw of a backend's bound.
+struct NextDueTrace {
+  int skipped = 0;          ///< drains made at now < NextDueNs()
+  bool saw_window = false;  ///< a finite bound with nothing resolved yet
+  bool saw_any_time = false;  ///< a -inf bound (any drain may act)
+};
+
+/// Admits `queries` into `backend` and an identically built `twin`,
+/// draining both at each arrival as the serving loop does. Wherever
+/// `now < backend.NextDueNs()` -- at the arrival, and at the last instant
+/// before the bound -- `backend` alone is drained first: it must emit
+/// nothing, keep its bound, and answer every probe as the undrained twin
+/// does.
+NextDueTrace ExpectDrainBoundedByNextDue(
+    Backend& backend, Backend& twin, const std::vector<SchedQuery>& queries) {
+  NextDueTrace trace;
+  const auto expect_twins = [&](Nanoseconds t) {
+    EXPECT_EQ(backend.QueueDepthNs(t), twin.QueueDepthNs(t)) << "t=" << t;
+    EXPECT_EQ(backend.Accepting(t), twin.Accepting(t)) << "t=" << t;
+    EXPECT_EQ(backend.NextDueNs(), twin.NextDueNs()) << "t=" << t;
+  };
+  const Nanoseconds inf = std::numeric_limits<Nanoseconds>::infinity();
+  for (const SchedQuery& q : queries) {
+    const Nanoseconds due = backend.NextDueNs();
+    trace.saw_any_time |= due == -inf;
+    for (const Nanoseconds now : {q.arrival_ns, std::nextafter(due, -inf)}) {
+      if (!(now < due) || !std::isfinite(now)) continue;
+      trace.saw_window |= std::isfinite(due);
+      std::vector<SchedCompletion> out;
+      backend.Drain(now, out);
+      EXPECT_TRUE(out.empty()) << "now=" << now << " due=" << due;
+      EXPECT_EQ(backend.NextDueNs(), due);
+      expect_twins(now);
+      expect_twins(q.arrival_ns);
+      ++trace.skipped;
+    }
+    std::vector<SchedCompletion> drained;
+    std::vector<SchedCompletion> twin_drained;
+    backend.Drain(q.arrival_ns, drained);
+    twin.Drain(q.arrival_ns, twin_drained);
+    EXPECT_EQ(drained.size(), twin_drained.size());
+    EXPECT_EQ(backend.Admit(q), twin.Admit(q));
+    expect_twins(q.arrival_ns);
+  }
+  std::vector<SchedCompletion> rest;
+  std::vector<SchedCompletion> twin_rest;
+  backend.Finalize(rest);
+  twin.Finalize(twin_rest);
+  EXPECT_EQ(rest.size(), twin_rest.size());
+  EXPECT_EQ(backend.NextDueNs(), inf);  // nothing left in flight
+  return trace;
+}
+
+std::vector<SchedQuery> MixedQueries(const std::vector<Nanoseconds>& arrivals) {
+  std::vector<SchedQuery> queries = UnitQueries(arrivals);
+  for (std::size_t i = 0; i < queries.size(); i += 5) queries[i].items = 3;
+  return queries;
+}
+
+TEST(SchedBackendTest, NextDueNsBoundsEveryDrain) {
+  const auto sparse = MixedQueries(PoissonArrivals(400'000.0, 300, 23));
+
+  PipelineBackendConfig pipeline;
+  pipeline.replicas = 2;
+  pipeline.item_latency_ns = 4'000.0;
+  pipeline.initiation_interval_ns = 900.0;
+  PipelineBackend fpga(pipeline);
+  PipelineBackend fpga_twin(pipeline);
+  EXPECT_GT(ExpectDrainBoundedByNextDue(fpga, fpga_twin, sparse).skipped, 0);
+
+  HotCacheBackendConfig cache;
+  cache.hit_item_latency_ns = 800.0;
+  cache.miss_item_latency_ns = 4'000.0;
+  cache.initiation_interval_ns = 900.0;
+  cache.cache_capacity_bytes = 1u << 12;
+  cache.key_space = 1u << 10;
+  HotCacheBackend hot(cache);
+  HotCacheBackend hot_twin(cache);
+  EXPECT_GT(ExpectDrainBoundedByNextDue(hot, hot_twin, sparse).skipped, 0);
+
+  // CPU: sparse arrivals leave each server an open window (a finite
+  // bound at its close); bursts of max_batch at one instant queue a full
+  // batch, which may launch at any drain (a -inf bound).
+  CpuBackendConfig cpu;
+  cpu.servers = 2;
+  cpu.max_batch = 4;
+  cpu.batch_timeout_ns = 3'000.0;
+  cpu.fixed_overhead_ns = 5'000.0;
+  cpu.per_item_ns = 200.0;
+  cpu.per_lookup_ns = 50.0;
+  std::vector<Nanoseconds> arrivals = PoissonArrivals(100'000.0, 120, 31);
+  for (int burst = 0; burst < 12; ++burst) {
+    arrivals.insert(arrivals.end(), 8, arrivals.back() + 50'000.0);
+  }
+  {
+    CpuBatchedBackend server(cpu);
+    CpuBatchedBackend twin(cpu);
+    const NextDueTrace trace =
+        ExpectDrainBoundedByNextDue(server, twin, MixedQueries(arrivals));
+    EXPECT_GT(trace.skipped, 0);
+    EXPECT_TRUE(trace.saw_window);
+    EXPECT_TRUE(trace.saw_any_time);
+  }
+
+  // Fault wrapper over each window kind: crash (Accepting flips), a 3x
+  // brownout (completions move later than the inner machine's), and a
+  // stall (completions held to its end).
+  FaultSchedule faults;
+  for (const auto& [kind, start, end, magnitude] :
+       {std::tuple{FaultKind::kReplicaCrash, 100'000.0, 200'000.0, 1.0},
+        std::tuple{FaultKind::kChannelDegrade, 250'000.0, 400'000.0, 3.0},
+        std::tuple{FaultKind::kDmaStall, 500'000.0, 600'000.0, 1.0}}) {
+    FaultEvent event;
+    event.kind = kind;
+    event.start_ns = start;
+    event.end_ns = end;
+    event.magnitude = magnitude;
+    ASSERT_TRUE(faults.Add(event).ok());
+  }
+  for (const bool cpu_inner : {false, true}) {
+    const auto inner = [&]() -> std::unique_ptr<Backend> {
+      if (cpu_inner) return std::make_unique<CpuBatchedBackend>(cpu);
+      return std::make_unique<PipelineBackend>(pipeline);
+    };
+    FaultInjectedBackend wrapped(inner(), BackendFaultModel(faults, 0));
+    FaultInjectedBackend twin(inner(), BackendFaultModel(faults, 0));
+    const NextDueTrace trace = ExpectDrainBoundedByNextDue(
+        wrapped, twin, MixedQueries(PoissonArrivals(400'000.0, 300, 37)));
+    EXPECT_GT(trace.skipped, 0) << "cpu_inner=" << cpu_inner;
+    EXPECT_GT(wrapped.crash_rejects(), 0u) << "cpu_inner=" << cpu_inner;
+  }
 }
 
 // ------------------------------------------------------------- SchedPolicy
