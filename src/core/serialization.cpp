@@ -1,6 +1,7 @@
 #include "core/serialization.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -36,6 +37,17 @@ StatusOr<std::uint64_t> ParseU64(const std::string& s, std::size_t line_no) {
   } catch (...) {
     return ParseError(line_no, "expected integer, got '" + s + "'");
   }
+}
+
+/// ParseU64 for 32-bit fields: a value above 2^32 - 1 is an error instead
+/// of wrapping to a small one.
+StatusOr<std::uint32_t> ParseU32(const std::string& s, std::size_t line_no) {
+  auto v = ParseU64(s, line_no);
+  if (!v.ok()) return v.status();
+  if (*v > std::numeric_limits<std::uint32_t>::max()) {
+    return ParseError(line_no, "expected 32-bit integer, got '" + s + "'");
+  }
+  return static_cast<std::uint32_t>(*v);
 }
 
 }  // namespace
@@ -93,28 +105,28 @@ StatusOr<RecModelSpec> ParseModel(const std::string& text) {
       model.seed = *v;
     } else if (key == "lookups_per_table") {
       if (fields.size() != 2) return ParseError(line_no, "takes 1 field");
-      auto v = ParseU64(fields[1], line_no);
+      auto v = ParseU32(fields[1], line_no);
       if (!v.ok()) return v.status();
-      model.lookups_per_table = static_cast<std::uint32_t>(*v);
+      model.lookups_per_table = *v;
     } else if (key == "max_onchip_tables") {
       if (fields.size() != 2) return ParseError(line_no, "takes 1 field");
-      auto v = ParseU64(fields[1], line_no);
+      auto v = ParseU32(fields[1], line_no);
       if (!v.ok()) return v.status();
-      model.max_onchip_tables = static_cast<std::uint32_t>(*v);
+      model.max_onchip_tables = *v;
     } else if (key == "mlp") {
       if (fields.size() != 3) {
         return ParseError(line_no, "mlp takes <input_dim> <hidden,...>");
       }
-      auto input = ParseU64(fields[1], line_no);
+      auto input = ParseU32(fields[1], line_no);
       if (!input.ok()) return input.status();
-      model.mlp.input_dim = static_cast<std::uint32_t>(*input);
+      model.mlp.input_dim = *input;
       model.mlp.hidden.clear();
       std::istringstream hs(fields[2]);
       std::string h;
       while (std::getline(hs, h, ',')) {
-        auto v = ParseU64(h, line_no);
+        auto v = ParseU32(h, line_no);
         if (!v.ok()) return v.status();
-        model.mlp.hidden.push_back(static_cast<std::uint32_t>(*v));
+        model.mlp.hidden.push_back(*v);
       }
       saw_mlp = true;
     } else if (key == "table") {
@@ -123,18 +135,18 @@ StatusOr<RecModelSpec> ParseModel(const std::string& text) {
             line_no, "table takes <id> <rows> <dim> <element_bytes> <name>");
       }
       TableSpec spec;
-      auto id = ParseU64(fields[1], line_no);
+      auto id = ParseU32(fields[1], line_no);
       auto rows = ParseU64(fields[2], line_no);
-      auto dim = ParseU64(fields[3], line_no);
-      auto eb = ParseU64(fields[4], line_no);
+      auto dim = ParseU32(fields[3], line_no);
+      auto eb = ParseU32(fields[4], line_no);
       if (!id.ok()) return id.status();
       if (!rows.ok()) return rows.status();
       if (!dim.ok()) return dim.status();
       if (!eb.ok()) return eb.status();
-      spec.id = static_cast<std::uint32_t>(*id);
+      spec.id = *id;
       spec.rows = *rows;
-      spec.dim = static_cast<std::uint32_t>(*dim);
-      spec.element_bytes = static_cast<std::uint32_t>(*eb);
+      spec.dim = *dim;
+      spec.element_bytes = *eb;
       spec.name = fields[5];
       MICROREC_RETURN_IF_ERROR(spec.Validate());
       model.tables.push_back(std::move(spec));
@@ -191,16 +203,16 @@ StatusOr<PlacementPlan> ParsePlan(const std::string& text,
     if (fields[0] != "place" || fields.size() != 3) {
       return ParseError(line_no, "expected 'place <bank> <ids>'");
     }
-    auto bank = ParseU64(fields[1], line_no);
+    auto bank = ParseU32(fields[1], line_no);
     if (!bank.ok()) return bank.status();
 
     std::vector<TableSpec> members;
     std::istringstream ms(fields[2]);
     std::string id_str;
     while (std::getline(ms, id_str, 'x')) {
-      auto id = ParseU64(id_str, line_no);
+      auto id = ParseU32(id_str, line_no);
       if (!id.ok()) return id.status();
-      auto it = by_id.find(static_cast<std::uint32_t>(*id));
+      auto it = by_id.find(*id);
       if (it == by_id.end()) {
         return ParseError(line_no, "unknown table id " + id_str);
       }
@@ -211,7 +223,7 @@ StatusOr<PlacementPlan> ParsePlan(const std::string& text,
     }
     if (members.empty()) return ParseError(line_no, "empty member list");
     plan.placements.push_back(TablePlacement{
-        CombinedTable(std::move(members)), static_cast<std::uint32_t>(*bank)});
+        CombinedTable(std::move(members)), *bank});
   }
 
   if (!saw_header) return Status::InvalidArgument("empty input");

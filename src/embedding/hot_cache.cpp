@@ -33,18 +33,6 @@ bool EmbeddingCacheSim::Access(std::uint32_t table_id, std::uint64_t row,
   return false;
 }
 
-bool EmbeddingCacheSim::Invalidate(std::uint32_t table_id,
-                                   std::uint64_t row) {
-  const Key key{table_id, row};
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  stats_.bytes_cached -= it->second->bytes;
-  lru_.erase(it->second);
-  index_.erase(it);
-  ++stats_.invalidations;
-  return true;
-}
-
 void EmbeddingCacheSim::Clear() {
   lru_.clear();
   index_.clear();

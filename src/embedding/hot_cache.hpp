@@ -24,7 +24,6 @@ struct EmbeddingCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;  ///< entries dropped by Invalidate()
   Bytes bytes_cached = 0;  ///< current occupancy
 
   double hit_rate() const {
@@ -47,11 +46,6 @@ class EmbeddingCacheSim {
   /// (evicting LRU entries until it fits). Entries larger than the whole
   /// capacity are never cached (counted as misses, no insertion).
   bool Access(std::uint32_t table_id, std::uint64_t row, Bytes entry_bytes);
-
-  /// Drops the entry for (table, row) if cached, so a row that received an
-  /// embedding update is re-fetched instead of served stale. Returns true
-  /// if an entry was evicted (counted in stats().invalidations).
-  bool Invalidate(std::uint32_t table_id, std::uint64_t row);
 
   /// Drops all entries; keeps cumulative hit/miss counters.
   void Clear();

@@ -34,38 +34,34 @@ UpdateBatch DeltaStream::NextBatch() {
   MICROREC_CHECK(config_.update_row_qps > 0.0);
   UpdateBatch batch;
   batch.time_ns = next_time_ns_;
-  batch.seq_begin = next_seq_;
   batch.deltas.reserve(config_.rows_per_batch);
   for (std::uint32_t i = 0; i < config_.rows_per_batch; ++i) {
     const std::size_t t = rng_.NextBounded(model_.tables.size());
-    const TableSpec& spec = model_.tables[t];
     EmbeddingDelta delta;
-    delta.table_id = spec.id;
+    delta.table_id = model_.tables[t].id;
     delta.seq = next_seq_++;
-    delta.time_ns = batch.time_ns;
-    delta.kind = config_.kind;
     const bool grow = config_.growth_fraction > 0.0 &&
                       rng_.NextDouble() < config_.growth_fraction;
     if (grow) {
-      // Append a brand-new row; new vocabulary entries arrive as full
-      // vectors, not gradients.
-      delta.row = rows_[t]++;
+      delta.row = rows_[t]++;  // append a brand-new row
       delta.grows_table = true;
-      delta.kind = DeltaKind::kOverwrite;
       ++grown_rows_;
     } else {
       delta.row = zipf_[t].Sample(rng_);
     }
-    delta.values.resize(spec.dim);
-    for (std::uint32_t c = 0; c < spec.dim; ++c) {
-      delta.values[c] = delta.kind == DeltaKind::kAdd
-                            ? static_cast<float>(rng_.NextGaussian() *
-                                                 config_.magnitude)
-                            : rng_.NextFloat(-0.25f, 0.25f);
+    // Draw, and discard, the delta's vector: one Gaussian per element for
+    // an update, one uniform (a single Next()) per element for an appended
+    // row. No reader prices the values; these draws keep every later row
+    // and timestamp of the stream unchanged.
+    for (std::uint32_t c = 0; c < model_.tables[t].dim; ++c) {
+      if (grow) {
+        rng_.Next();
+      } else {
+        rng_.NextGaussian();
+      }
     }
-    batch.deltas.push_back(std::move(delta));
+    batch.deltas.push_back(delta);
   }
-  batch.seq_end = next_seq_;
 
   const double mean_gap_ns = kNanosPerSecond *
                              static_cast<double>(config_.rows_per_batch) /

@@ -19,20 +19,13 @@
 
 namespace microrec {
 
-/// How a delta combines with the stored vector.
-enum class DeltaKind {
-  kAdd,        ///< values are added element-wise (gradient-style)
-  kOverwrite,  ///< values replace the stored vector (parameter push)
-};
-
-/// One row-level update to one table.
+/// One row-level update to one table. A delta carries no vector: an update
+/// is priced by the bytes it writes to the row's bank (UpdateWriteInjector),
+/// never by the values written.
 struct EmbeddingDelta {
   std::uint32_t table_id = 0;
   std::uint64_t row = 0;
-  DeltaKind kind = DeltaKind::kAdd;
-  std::uint64_t seq = 0;        ///< global, strictly increasing
-  Nanoseconds time_ns = 0.0;    ///< generation timestamp
-  std::vector<float> values;    ///< length == the table's dim
+  std::uint64_t seq = 0;  ///< global, strictly increasing
   /// True when this delta appends a brand-new row (vocabulary growth):
   /// row equals the table's previous row count.
   bool grows_table = false;
@@ -42,8 +35,6 @@ struct EmbeddingDelta {
 struct UpdateBatch {
   std::vector<EmbeddingDelta> deltas;
   Nanoseconds time_ns = 0.0;  ///< generation timestamp of the batch
-  std::uint64_t seq_begin = 0;
-  std::uint64_t seq_end = 0;  ///< exclusive
 
   std::size_t size() const { return deltas.size(); }
 };
@@ -58,9 +49,6 @@ struct DeltaStreamConfig {
   /// Fraction of deltas that append a new row instead of updating an
   /// existing one (vocabulary growth; drives incremental re-placement).
   double growth_fraction = 0.0;
-  /// Stddev of additive gradient noise / scale of overwrite values.
-  double magnitude = 0.01;
-  DeltaKind kind = DeltaKind::kAdd;
   std::uint64_t seed = 1;
 };
 
@@ -90,7 +78,6 @@ class DeltaStream {
 
   /// Total rows appended by growth deltas so far.
   std::uint64_t grown_rows() const { return grown_rows_; }
-  std::uint64_t generated_deltas() const { return next_seq_; }
 
  private:
   RecModelSpec model_;

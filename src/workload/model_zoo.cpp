@@ -41,7 +41,17 @@ std::uint32_t RecModelSpec::FeatureLength() const {
 
 Status RecModelSpec::Validate() const {
   if (tables.empty()) return Status::InvalidArgument(name + ": no tables");
-  for (const auto& t : tables) MICROREC_RETURN_IF_ERROR(t.Validate());
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    MICROREC_RETURN_IF_ERROR(tables[i].Validate());
+    // A pairwise scan allocates nothing on the engine-build path; models
+    // hold at most a few hundred tables.
+    for (std::size_t j = 0; j < i; ++j) {
+      if (tables[j].id == tables[i].id) {
+        return Status::InvalidArgument(name + ": duplicate table id " +
+                                       std::to_string(tables[i].id));
+      }
+    }
+  }
   MICROREC_RETURN_IF_ERROR(mlp.Validate());
   if (mlp.input_dim != FeatureLength()) {
     return Status::FailedPrecondition(

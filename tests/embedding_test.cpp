@@ -4,14 +4,9 @@
 // vectors, for every index combination.
 #include <gtest/gtest.h>
 
-#include <deque>
-
-#include "common/rng.hpp"
 #include "embedding/cartesian.hpp"
 #include "embedding/embedding_table.hpp"
 #include "embedding/table_spec.hpp"
-#include "update/delta_stream.hpp"
-#include "update/versioned_store.hpp"
 
 namespace microrec {
 namespace {
@@ -332,156 +327,6 @@ TEST(CartesianTest, MaterializedBytesMatchSpecMath) {
   auto product_or = CartesianProductTable::Materialize(std::move(members));
   ASSERT_TRUE(product_or.ok());
   EXPECT_EQ(product_or->MaterializedBytes(), product_or->combined().TotalBytes());
-}
-
-// ------------------------------------------- Versioned stores under update
-
-// Reference replay with the same semantics as VersionedEmbeddingStore:
-// growth at row == rows appends a deterministic reference row first, then
-// the delta lands; kAdd accumulates, kOverwrite replaces.
-class ReferenceTable {
- public:
-  ReferenceTable(const TableSpec& spec, std::uint64_t seed)
-      : dim_(spec.dim), seed_(seed) {
-    for (std::uint64_t r = 0; r < spec.rows; ++r) rows_.push_back(Fresh(r));
-  }
-
-  void Apply(const EmbeddingDelta& delta) {
-    if (delta.row == rows_.size()) rows_.push_back(Fresh(rows_.size()));
-    std::vector<float>& row = rows_.at(delta.row);
-    for (std::uint32_t c = 0; c < dim_; ++c) {
-      if (delta.kind == DeltaKind::kAdd) {
-        row[c] += delta.values[c];
-      } else {
-        row[c] = delta.values[c];
-      }
-    }
-  }
-
-  std::uint64_t rows() const { return rows_.size(); }
-  const std::vector<float>& row(std::uint64_t r) const { return rows_.at(r); }
-
- private:
-  std::vector<float> Fresh(std::uint64_t r) const {
-    std::vector<float> row(dim_);
-    for (std::uint32_t c = 0; c < dim_; ++c) {
-      row[c] = EmbeddingTable::ReferenceValue(seed_, r, c);
-    }
-    return row;
-  }
-
-  std::uint32_t dim_;
-  std::uint64_t seed_;
-  std::vector<std::vector<float>> rows_;
-};
-
-// Property: after N random delta batches interleaved with version swaps,
-// every published vector equals an independent from-scratch replay of the
-// same delta sequence. Exercises both buffers (each publish swaps them) so
-// the retired-buffer catch-up replay is covered too.
-TEST(VersionedConsistencyTest, StoreMatchesIndependentReplay) {
-  const std::vector<TableSpec> specs = {MakeSpec(0, 16, 4), MakeSpec(1, 6, 8)};
-  RecModelSpec model;
-  model.name = "replay-property";
-  model.tables = specs;
-
-  DeltaStreamConfig stream_config;
-  stream_config.update_row_qps = 1.0e6;
-  stream_config.rows_per_batch = 8;
-  stream_config.growth_fraction = 0.1;
-  stream_config.seed = 404;
-  DeltaStream stream(model, stream_config);
-
-  std::deque<VersionedEmbeddingStore> stores;
-  std::vector<ReferenceTable> references;
-  for (const TableSpec& spec : specs) {
-    stores.emplace_back(spec, /*seed=*/spec.id + 60);
-    references.emplace_back(spec, /*seed=*/spec.id + 60);
-  }
-
-  Rng coin(11);
-  for (int n = 0; n < 40; ++n) {
-    const UpdateBatch batch = stream.NextBatch();
-    for (std::size_t t = 0; t < specs.size(); ++t) {
-      // A batch mixes tables; Apply() rejects the other tables' deltas and
-      // errors only when nothing matched, which is fine here.
-      (void)stores[t].Apply(batch);
-    }
-    for (const EmbeddingDelta& delta : batch.deltas) {
-      references[delta.table_id].Apply(delta);
-    }
-    if (coin.NextDouble() < 0.4) {
-      for (VersionedEmbeddingStore& store : stores) store.Publish();
-    }
-  }
-  for (VersionedEmbeddingStore& store : stores) store.Publish();
-
-  for (std::size_t t = 0; t < specs.size(); ++t) {
-    ASSERT_EQ(stores[t].spec().rows, references[t].rows());
-    for (std::uint64_t r = 0; r < references[t].rows(); ++r) {
-      const auto got = stores[t].Lookup(r);
-      const auto& want = references[t].row(r);
-      for (std::uint32_t c = 0; c < specs[t].dim; ++c) {
-        ASSERT_EQ(got[c], want[c]) << "table " << t << " row " << r
-                                   << " col " << c;
-      }
-    }
-  }
-}
-
-// Property: a Cartesian product over updated members stays consistent —
-// every combined row equals the concatenation of the members' replayed
-// vectors, entry by entry, including rows appended by growth.
-TEST(VersionedConsistencyTest, ProductOverUpdatedMembersMatchesEntryByEntry) {
-  const std::vector<TableSpec> specs = {MakeSpec(0, 4, 4), MakeSpec(1, 5, 8)};
-  RecModelSpec model;
-  model.name = "product-property";
-  model.tables = specs;
-
-  DeltaStreamConfig stream_config;
-  stream_config.update_row_qps = 1.0e6;
-  stream_config.rows_per_batch = 6;
-  stream_config.growth_fraction = 0.15;
-  stream_config.kind = DeltaKind::kOverwrite;
-  stream_config.seed = 505;
-  DeltaStream stream(model, stream_config);
-
-  std::deque<VersionedEmbeddingStore> stores;
-  std::vector<ReferenceTable> references;
-  for (const TableSpec& spec : specs) {
-    stores.emplace_back(spec, /*seed=*/spec.id + 90);
-    references.emplace_back(spec, /*seed=*/spec.id + 90);
-  }
-
-  for (int n = 0; n < 25; ++n) {
-    const UpdateBatch batch = stream.NextBatch();
-    for (std::size_t t = 0; t < specs.size(); ++t) {
-      (void)stores[t].Apply(batch);
-    }
-    for (const EmbeddingDelta& delta : batch.deltas) {
-      references[delta.table_id].Apply(delta);
-    }
-  }
-  for (VersionedEmbeddingStore& store : stores) store.Publish();
-
-  const MergedStoreView view({&stores[0], &stores[1]});
-  const CombinedTable combined = view.combined();
-  ASSERT_EQ(combined.rows(), references[0].rows() * references[1].rows());
-  std::vector<float> got(view.dim());
-  for (std::uint64_t row = 0; row < combined.rows(); ++row) {
-    view.Lookup(row, got);
-    const std::vector<std::uint64_t> member_rows =
-        combined.DecomposeRowIndex(row);
-    std::size_t offset = 0;
-    for (std::size_t t = 0; t < references.size(); ++t) {
-      const auto& want = references[t].row(member_rows[t]);
-      for (std::uint32_t c = 0; c < specs[t].dim; ++c) {
-        ASSERT_EQ(got[offset + c], want[c])
-            << "combined row " << row << " member " << t << " col " << c;
-      }
-      offset += want.size();
-    }
-  }
 }
 
 }  // namespace

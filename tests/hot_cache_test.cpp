@@ -6,8 +6,6 @@
 #include "embedding/embedding_table.hpp"
 #include "embedding/hot_cache.hpp"
 #include "tensor/gather.hpp"
-#include "update/delta_stream.hpp"
-#include "update/versioned_store.hpp"
 
 namespace microrec {
 namespace {
@@ -102,106 +100,6 @@ TEST(HotCacheTest, HitRateMonotoneInCapacity) {
     }
     EXPECT_GT(cache.stats().hit_rate(), prev);
     prev = cache.stats().hit_rate();
-  }
-}
-
-// ------------------------------------------------- Invalidation on update
-
-TEST(HotCacheTest, InvalidateDropsOnlyTheTargetEntry) {
-  EmbeddingCacheSim cache(1024);
-  cache.Access(0, 5, 64);
-  cache.Access(0, 6, 64);
-  EXPECT_TRUE(cache.Invalidate(0, 5));
-  EXPECT_FALSE(cache.Invalidate(0, 5));  // already gone
-  EXPECT_FALSE(cache.Invalidate(1, 6));  // different table
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_FALSE(cache.Access(0, 5, 64));  // re-fetch: miss
-  EXPECT_TRUE(cache.Access(0, 6, 64));   // untouched row still hot
-}
-
-TEST(HotCacheTest, InvalidateReleasesCapacity) {
-  EmbeddingCacheSim cache(128);  // fits two 64-byte entries
-  cache.Access(0, 1, 64);
-  cache.Access(0, 2, 64);
-  ASSERT_TRUE(cache.Invalidate(0, 1));
-  cache.Access(0, 3, 64);  // must fit without evicting row 2
-  EXPECT_TRUE(cache.Access(0, 2, 64));
-  EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-// A cached hot row that receives an embedding delta must not be served
-// stale after the version swap: InvalidatePublishedRows evicts exactly the
-// rows dirtied by the store's most recent Publish().
-TEST(HotCacheTest, UpdatedRowsAreNotServedStaleAfterPublish) {
-  TableSpec spec;
-  spec.id = 3;
-  spec.name = "hot";
-  spec.rows = 64;
-  spec.dim = 8;
-  VersionedEmbeddingStore store(spec, /*seed=*/7);
-
-  EmbeddingCacheSim cache(1 << 16);
-  const Bytes entry = spec.VectorBytes();
-  for (std::uint64_t row = 0; row < 16; ++row) cache.Access(spec.id, row, entry);
-
-  UpdateBatch batch;
-  for (const std::uint64_t row : {std::uint64_t(2), std::uint64_t(9),
-                                  std::uint64_t(40)}) {
-    EmbeddingDelta delta;
-    delta.table_id = spec.id;
-    delta.row = row;
-    delta.kind = DeltaKind::kOverwrite;
-    delta.values.assign(spec.dim, 0.5f);
-    batch.deltas.push_back(std::move(delta));
-  }
-  ASSERT_TRUE(store.Apply(batch).ok());
-  store.Publish();
-
-  // Rows 2 and 9 were cached and dirty; row 40 was dirty but never cached.
-  EXPECT_EQ(InvalidatePublishedRows(cache, store), 2u);
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-  EXPECT_FALSE(cache.Access(spec.id, 2, entry));   // forced re-fetch
-  EXPECT_FALSE(cache.Access(spec.id, 9, entry));
-  EXPECT_TRUE(cache.Access(spec.id, 5, entry));    // clean rows stay hot
-  // The re-fetched rows now serve the post-publish vector.
-  EXPECT_EQ(store.Lookup(2)[0], 0.5f);
-}
-
-TEST(HotCacheTest, InvalidationCoversEveryDirtyRowAcrossPublishes) {
-  TableSpec spec;
-  spec.id = 0;
-  spec.name = "t0";
-  spec.rows = 200;
-  spec.dim = 4;
-  RecModelSpec model;
-  model.name = "invalidate-sweep";
-  model.tables = {spec};
-
-  DeltaStreamConfig config;
-  config.update_row_qps = 1.0e6;
-  config.rows_per_batch = 16;
-  config.seed = 21;
-  DeltaStream stream(model, config);
-
-  VersionedEmbeddingStore store(spec, /*seed=*/1);
-  EmbeddingCacheSim cache(1 << 20);  // big enough to hold every row
-  const Bytes entry = spec.VectorBytes();
-  for (std::uint64_t row = 0; row < spec.rows; ++row) {
-    cache.Access(spec.id, row, entry);
-  }
-
-  for (int n = 0; n < 10; ++n) {
-    const UpdateBatch batch = stream.NextBatch();
-    ASSERT_TRUE(store.Apply(batch).ok());
-    store.Publish();
-    const std::size_t evicted = InvalidatePublishedRows(cache, store);
-    // Every dirtied row was cached (cache holds the full table), so the
-    // eviction count equals the publish's deduplicated dirty-row count...
-    EXPECT_EQ(evicted, store.last_published_rows().size());
-    // ...and a dirty row is a guaranteed miss afterwards.
-    for (const std::uint64_t row : store.last_published_rows()) {
-      EXPECT_FALSE(cache.Access(spec.id, row, entry));
-    }
   }
 }
 

@@ -68,6 +68,31 @@ TEST(ModelSerializationTest, RejectsMalformedInteger) {
       "table 0 10 4 4 t0\n");
   ASSERT_FALSE(negative.ok());
   EXPECT_NE(negative.status().message().find("line 2"), std::string::npos);
+  // 32-bit fields reject values above 2^32 - 1 instead of wrapping them:
+  // a dim of 2^32 + 4 must not load as 4, a hidden width of 2^32 + 16 as
+  // 16, or a table id of 2^32 as 0.
+  const auto wide_dim = ParseModel(
+      "microrec-model v1\nmlp 4 16\ntable 0 10 4294967300 4 t0\n");
+  ASSERT_FALSE(wide_dim.ok());
+  EXPECT_NE(wide_dim.status().message().find("line 3"), std::string::npos);
+  const auto wide_hidden = ParseModel(
+      "microrec-model v1\nmlp 4 4294967312\ntable 0 10 4 4 t0\n");
+  ASSERT_FALSE(wide_hidden.ok());
+  EXPECT_NE(wide_hidden.status().message().find("line 2"), std::string::npos);
+  const auto wide_id = ParseModel(
+      "microrec-model v1\nmlp 4 16\ntable 4294967296 10 4 4 t0\n");
+  ASSERT_FALSE(wide_id.ok());
+  EXPECT_NE(wide_id.status().message().find("line 3"), std::string::npos);
+}
+
+TEST(ModelSerializationTest, RejectsDuplicateTableIds) {
+  const auto result = ParseModel(
+      "microrec-model v1\nmlp 8 16\ntable 0 10 4 4 a\n"
+      "table 0 20 4 4 b\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("duplicate table id 0"),
+            std::string::npos)
+      << result.status();
 }
 
 TEST(ModelSerializationTest, RejectsInvalidTable) {
@@ -148,6 +173,16 @@ TEST(PlanSerializationTest, RejectsDuplicatePlacement) {
   const auto result = ParsePlan(text, model);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("placed twice"), std::string::npos);
+}
+
+TEST(PlanSerializationTest, RejectsOutOfRangeBank) {
+  const RecModelSpec model = DlrmRmc2Model(1, 4);
+  // Bank 2^32 must not wrap to bank 0.
+  const auto result =
+      ParsePlan("microrec-plan v1\nplace 4294967296 0\n", model);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("line 2"), std::string::npos)
+      << result.status();
 }
 
 TEST(PlanSerializationTest, RejectsIncompleteCoverage) {

@@ -1,17 +1,15 @@
 // Tests for the online embedding-update subsystem (src/update/): delta
-// streams, the versioned double-buffered store, write interference,
-// incremental re-placement, and update-aware serving simulation.
+// streams, write interference, incremental re-placement, and update-aware
+// serving simulation.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/microrec.hpp"
-#include "embedding/cartesian.hpp"
-#include "embedding/embedding_table.hpp"
 #include "placement/heuristic.hpp"
 #include "sched/backends.hpp"
 #include "sched/ft_scheduler.hpp"
@@ -19,7 +17,6 @@
 #include "update/delta_stream.hpp"
 #include "update/replan.hpp"
 #include "update/serving_update_sim.hpp"
-#include "update/versioned_store.hpp"
 #include "update/write_interference.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -52,12 +49,11 @@ TEST(DeltaStream, DeterministicGivenSeed) {
   for (int i = 0; i < 10; ++i) {
     const UpdateBatch ba = a.NextBatch(), bb = b.NextBatch();
     ASSERT_EQ(ba.size(), bb.size());
-    EXPECT_EQ(ba.seq_begin, bb.seq_begin);
     EXPECT_EQ(ba.time_ns, bb.time_ns);
     for (std::size_t d = 0; d < ba.size(); ++d) {
       EXPECT_EQ(ba.deltas[d].table_id, bb.deltas[d].table_id);
       EXPECT_EQ(ba.deltas[d].row, bb.deltas[d].row);
-      EXPECT_EQ(ba.deltas[d].values, bb.deltas[d].values);
+      EXPECT_EQ(ba.deltas[d].seq, bb.deltas[d].seq);
     }
   }
 }
@@ -69,6 +65,7 @@ TEST(DeltaStream, TimestampsStrictlyIncreaseAtConfiguredRate) {
   DeltaStream stream(TinyModel(), config);
   Nanoseconds last = -1.0;
   double sum_gap = 0.0;
+  std::uint64_t next_seq = 0;
   constexpr int kBatches = 2000;
   for (int i = 0; i < kBatches; ++i) {
     const auto batch = stream.NextBatch();
@@ -76,7 +73,7 @@ TEST(DeltaStream, TimestampsStrictlyIncreaseAtConfiguredRate) {
     if (last >= 0.0) sum_gap += batch.time_ns - last;
     last = batch.time_ns;
     EXPECT_EQ(batch.size(), config.rows_per_batch);
-    EXPECT_EQ(batch.seq_end - batch.seq_begin, config.rows_per_batch);
+    for (const auto& d : batch.deltas) EXPECT_EQ(d.seq, next_seq++);
   }
   // Mean inter-batch gap should be near rows_per_batch / qps = 16000 ns.
   const double mean_gap = sum_gap / (kBatches - 1);
@@ -93,7 +90,6 @@ TEST(DeltaStream, DeltasTargetValidRowsWithMatchingDims) {
       ASSERT_LT(d.table_id, model.tables.size());
       const auto& spec = model.tables[d.table_id];
       EXPECT_LT(d.row, spec.rows);
-      EXPECT_EQ(d.values.size(), spec.dim);
       EXPECT_FALSE(d.grows_table);
     }
   }
@@ -112,7 +108,6 @@ TEST(DeltaStream, GrowthFractionAppendsRows) {
     for (const auto& d : stream.NextBatch().deltas) {
       if (d.grows_table) {
         EXPECT_EQ(d.row, rows[d.table_id]);  // appended at the old end
-        EXPECT_EQ(d.kind, DeltaKind::kOverwrite);
         ++rows[d.table_id];
         ++growth_seen;
       }
@@ -137,299 +132,40 @@ TEST(DeltaStream, SurvivesSourceSpecDestruction) {
   EXPECT_EQ(stream.model().tables.size(), 3u);
 }
 
-// ------------------------------------------------- VersionedEmbeddingStore
-
-TEST(VersionedStore, FreshStoreMatchesMaterializedTable) {
-  const TableSpec spec{0, "t", 200, 8, 4};
-  const std::uint64_t seed = 77;
-  VersionedEmbeddingStore store(spec, seed);
-  const auto table = EmbeddingTable::Materialize(spec, seed);
-  for (std::uint64_t row : {0ull, 1ull, 99ull, 199ull}) {
-    const auto got = store.Lookup(row);
-    const auto want = table.Lookup(row);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t c = 0; c < got.size(); ++c) EXPECT_EQ(got[c], want[c]);
-  }
-  EXPECT_EQ(store.version(), 0u);
-  EXPECT_EQ(store.StalenessNs(), 0.0);
+// Folds one word into a running digest.
+void Mix(std::uint64_t& digest, std::uint64_t word) {
+  std::uint64_t state = digest ^ word;
+  digest = SplitMix64(state);
 }
 
-TEST(VersionedStore, ApplyIsInvisibleUntilPublish) {
-  const TableSpec spec{0, "t", 50, 4, 4};
-  VersionedEmbeddingStore store(spec, 1);
-  const float before = store.Lookup(7)[0];
-
-  UpdateBatch batch;
-  EmbeddingDelta d;
-  d.table_id = 0;
-  d.row = 7;
-  d.kind = DeltaKind::kOverwrite;
-  d.time_ns = 100.0;
-  d.seq = 0;
-  d.values = {1.0f, 2.0f, 3.0f, 4.0f};
-  batch.deltas = {d};
-  batch.seq_end = 1;
-  const auto report = store.Apply(batch);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().applied, 1u);
-
-  // Published snapshot untouched; staleness now measurable.
-  EXPECT_EQ(store.Lookup(7)[0], before);
-  EXPECT_EQ(store.pending_deltas(), 1u);
-  EXPECT_EQ(store.StalenessNs(), 100.0);
-
-  EXPECT_EQ(store.Publish(), 1u);
-  EXPECT_EQ(store.Lookup(7)[0], 1.0f);
-  EXPECT_EQ(store.Lookup(7)[3], 4.0f);
-  EXPECT_EQ(store.pending_deltas(), 0u);
-  EXPECT_EQ(store.StalenessNs(), 0.0);
-  ASSERT_EQ(store.last_published_rows().size(), 1u);
-  EXPECT_EQ(store.last_published_rows()[0], 7u);
-}
-
-TEST(VersionedStore, RejectsMismatchedDeltas) {
-  const TableSpec spec{3, "t", 50, 4, 4};
-  VersionedEmbeddingStore store(spec, 1);
-  UpdateBatch batch;
-  EmbeddingDelta wrong_table;
-  wrong_table.table_id = 9;
-  wrong_table.values = {0, 0, 0, 0};
-  EmbeddingDelta wrong_dim;
-  wrong_dim.table_id = 3;
-  wrong_dim.values = {0, 0};
-  EmbeddingDelta bad_row;
-  bad_row.table_id = 3;
-  bad_row.row = 50;  // == rows but not a growth delta
-  bad_row.values = {0, 0, 0, 0};
-  batch.deltas = {wrong_table, wrong_dim, bad_row};
-  const auto report = store.Apply(batch);
-  EXPECT_FALSE(report.ok());  // every delta rejected -> InvalidArgument
-
-  // One good delta among bad ones -> ok with rejected count.
-  EmbeddingDelta good;
-  good.table_id = 3;
-  good.row = 0;
-  good.values = {1, 1, 1, 1};
-  batch.deltas.push_back(good);
-  const auto mixed = store.Apply(batch);
-  ASSERT_TRUE(mixed.ok());
-  EXPECT_EQ(mixed.value().applied, 1u);
-  EXPECT_EQ(mixed.value().rejected, 3u);
-}
-
-TEST(VersionedStore, GrowthAppendsRowAndPublishGrowsSpec) {
-  const TableSpec spec{0, "t", 10, 4, 4};
-  VersionedEmbeddingStore store(spec, 5);
-  UpdateBatch batch;
-  EmbeddingDelta d;
-  d.table_id = 0;
-  d.row = 10;
-  d.kind = DeltaKind::kOverwrite;
-  d.grows_table = true;
-  d.values = {9.0f, 9.0f, 9.0f, 9.0f};
-  batch.deltas = {d};
-  const auto report = store.Apply(batch);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().grown_rows, 1u);
-  EXPECT_EQ(store.spec().rows, 10u);  // published spec not yet grown
-  store.Publish();
-  EXPECT_EQ(store.spec().rows, 11u);
-  EXPECT_EQ(store.Lookup(10)[0], 9.0f);
-}
-
-// Property test: after N random batches with random publish cadence, the
-// published contents equal an independent from-scratch replay of every
-// delta in sequence order over the reference materialization.
-TEST(VersionedStore, ReplayConsistencyProperty) {
-  const TableSpec spec{0, "t", 128, 8, 4};
-  const std::uint64_t seed = 21;
-  RecModelSpec model;
-  model.name = "one-table";
-  model.tables = {spec};
-  model.mlp.input_dim = 8;
-  model.mlp.hidden = {4};
-
+// Pins the stream's RNG consumption: the recorded digest fixes every row,
+// seq and timestamp, so the value draws NextBatch discards (one Gaussian per
+// element of an update, one uniform per element of an appended row) must
+// not change. A growth fraction of 0.1 runs both kinds of draw; no sweep or
+// bench sets a growth fraction, so nothing else checks the uniform ones.
+TEST(DeltaStream, StreamMatchesParentRecording) {
   DeltaStreamConfig config;
-  config.rows_per_batch = 16;
-  config.theta = 0.8;
-  config.growth_fraction = 0.05;
-  config.kind = DeltaKind::kAdd;
-  config.seed = 13;
-  DeltaStream stream(model, config);
-
-  VersionedEmbeddingStore store(spec, seed);
-  std::vector<EmbeddingDelta> all;
-  Rng cadence(99);
-  for (int i = 0; i < 40; ++i) {
-    const auto batch = stream.NextBatch();
-    all.insert(all.end(), batch.deltas.begin(), batch.deltas.end());
-    ASSERT_TRUE(store.Apply(batch).ok());
-    if (cadence.NextDouble() < 0.4) store.Publish();
-  }
-  store.Publish();
-
-  // From-scratch replay over a plain vector in the same float op order.
-  std::uint64_t rows = spec.rows;
-  std::vector<float> replay(spec.rows * spec.dim);
-  for (std::uint64_t r = 0; r < spec.rows; ++r) {
-    for (std::uint32_t c = 0; c < spec.dim; ++c) {
-      replay[r * spec.dim + c] = EmbeddingTable::ReferenceValue(seed, r, c);
+  config.update_row_qps = 1e6;
+  config.rows_per_batch = 64;
+  config.growth_fraction = 0.1;
+  config.seed = 7;
+  DeltaStream stream(SmallProductionModel(), config);
+  std::uint64_t digest = 0;
+  std::uint64_t grown = 0;
+  for (int i = 0; i < 256; ++i) {
+    const UpdateBatch batch = stream.NextBatch();
+    Mix(digest, std::bit_cast<std::uint64_t>(batch.time_ns));
+    for (const EmbeddingDelta& d : batch.deltas) {
+      Mix(digest, d.table_id);
+      Mix(digest, d.row);
+      Mix(digest, d.seq);
+      Mix(digest, d.grows_table ? 1 : 0);
+      grown += d.grows_table ? 1 : 0;
     }
   }
-  for (const auto& d : all) {
-    if (d.grows_table) {
-      ASSERT_EQ(d.row, rows);
-      for (std::uint32_t c = 0; c < spec.dim; ++c) {
-        replay.push_back(EmbeddingTable::ReferenceValue(seed, rows, c));
-      }
-      ++rows;
-    }
-    for (std::uint32_t c = 0; c < spec.dim; ++c) {
-      float& cell = replay[d.row * spec.dim + c];
-      if (d.kind == DeltaKind::kAdd) {
-        cell += d.values[c];
-      } else {
-        cell = d.values[c];
-      }
-    }
-  }
-
-  ASSERT_EQ(store.spec().rows, rows);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    const auto got = store.Lookup(r);
-    for (std::uint32_t c = 0; c < spec.dim; ++c) {
-      ASSERT_EQ(got[c], replay[r * spec.dim + c])
-          << "row " << r << " col " << c;
-    }
-  }
-}
-
-// Readers pin a snapshot: a row read during concurrent apply/publish cycles
-// must always be one complete published version, never a torn mix. The
-// writer publishes whole-row overwrites where all elements carry the same
-// value, so any mixed-value row would expose a tear.
-TEST(VersionedStore, ConcurrentReadersNeverObserveTornRows) {
-  const TableSpec spec{0, "t", 32, 16, 4};
-  VersionedEmbeddingStore store(spec, 2);
-
-  // Seed a uniform baseline so version 0 also satisfies the invariant.
-  {
-    UpdateBatch init;
-    for (std::uint64_t r = 0; r < spec.rows; ++r) {
-      EmbeddingDelta d;
-      d.table_id = 0;
-      d.row = r;
-      d.kind = DeltaKind::kOverwrite;
-      d.values.assign(spec.dim, 0.0f);
-      init.deltas.push_back(d);
-    }
-    ASSERT_TRUE(store.Apply(init).ok());
-    store.Publish();
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<bool> torn{false};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
-      Rng rng(100 + t);
-      std::vector<float> row(spec.dim);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t r = rng.NextBounded(spec.rows);
-        store.ReadRow(r, row);
-        for (std::uint32_t c = 1; c < spec.dim; ++c) {
-          if (row[c] != row[0]) torn.store(true);
-        }
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // At least 200 publish epochs, then keep going (yielding so the reader
-  // threads actually get scheduled on small machines) until the readers
-  // have observed a healthy number of snapshots.
-  Rng rng(7);
-  std::uint64_t epochs = 0;
-  for (int epoch = 1; epoch <= 200 ||
-                      (reads.load() < 2000 && epoch < 200'000);
-       ++epoch) {
-    UpdateBatch batch;
-    for (int i = 0; i < 8; ++i) {
-      EmbeddingDelta d;
-      d.table_id = 0;
-      d.row = rng.NextBounded(spec.rows);
-      d.kind = DeltaKind::kOverwrite;
-      d.values.assign(spec.dim, static_cast<float>(epoch % 1024));
-      d.seq = store.applied_seq() + i;
-      batch.deltas.push_back(d);
-    }
-    ASSERT_TRUE(store.Apply(batch).ok());
-    store.Publish();
-    ++epochs;
-    std::this_thread::yield();
-  }
-  stop.store(true);
-  for (auto& r : readers) r.join();
-  EXPECT_FALSE(torn.load());
-  EXPECT_GT(reads.load(), 0u);
-  EXPECT_EQ(store.version(), epochs + 1);  // +1 for the baseline publish
-}
-
-// --------------------------------------------------------- MergedStoreView
-
-TEST(MergedStoreView, FreshViewMatchesCartesianProductTable) {
-  const TableSpec a{0, "a", 6, 4, 4};
-  const TableSpec b{1, "b", 5, 8, 4};
-  VersionedEmbeddingStore sa(a, 11), sb(b, 22);
-  MergedStoreView view({&sa, &sb});
-
-  auto product = CartesianProductTable::Materialize(
-      {EmbeddingTable::Materialize(a, 11), EmbeddingTable::Materialize(b, 22)});
-  ASSERT_TRUE(product.ok());
-  const auto& table = product.value();
-  ASSERT_EQ(view.rows(), table.rows());
-  ASSERT_EQ(view.dim(), table.dim());
-
-  std::vector<float> got(view.dim());
-  for (std::uint64_t row = 0; row < view.rows(); ++row) {
-    view.Lookup(row, got);
-    const auto want = table.Lookup(row);
-    for (std::uint32_t c = 0; c < view.dim(); ++c) {
-      ASSERT_EQ(got[c], want[c]) << "combined row " << row << " col " << c;
-    }
-  }
-}
-
-TEST(MergedStoreView, ReflectsMemberUpdatesAfterPublish) {
-  const TableSpec a{0, "a", 4, 2, 4};
-  const TableSpec b{1, "b", 3, 2, 4};
-  VersionedEmbeddingStore sa(a, 1), sb(b, 2);
-  MergedStoreView view({&sa, &sb});
-
-  UpdateBatch batch;
-  EmbeddingDelta d;
-  d.table_id = 1;
-  d.row = 2;
-  d.kind = DeltaKind::kOverwrite;
-  d.values = {5.0f, 6.0f};
-  batch.deltas = {d};
-  ASSERT_TRUE(sb.Apply(batch).ok());
-  sb.Publish();
-
-  // Every combined row whose b-member is row 2 now carries the new values
-  // in the b slice of the concatenation.
-  std::vector<float> got(view.dim());
-  const auto combined = view.combined();
-  for (std::uint64_t ra = 0; ra < a.rows; ++ra) {
-    const std::uint64_t row = combined.CombinedRowIndex({ra, 2});
-    view.Lookup(row, got);
-    EXPECT_EQ(got[a.dim + 0], 5.0f);
-    EXPECT_EQ(got[a.dim + 1], 6.0f);
-  }
-  // Amplification: one b-row delta dirties a.rows product entries.
-  EXPECT_EQ(view.WriteAmplificationRows(1), a.rows);
-  EXPECT_EQ(view.WriteAmplificationRows(0), b.rows);
+  EXPECT_GT(grown, 0u);
+  EXPECT_LT(grown, 256u * 64u);
+  EXPECT_EQ(digest, 0x6cf5e74da7ac18fdull);
 }
 
 // ------------------------------------------------------- UpdateWriteInjector
@@ -458,6 +194,45 @@ TEST(WriteInjector, RoutesCoverEveryTableAndWritesOccupyBanks) {
   const auto lookup = plan.ToBankAccesses(1);
   EXPECT_GT(injector.LookupDelay(lookup, 1000.0), 0.0);
   EXPECT_EQ(injector.LookupDelay(lookup, done + 1.0), 0.0);
+}
+
+// A delta to one member of a Cartesian product rewrites every product entry
+// that holds the member's row: one per combination of the other members'
+// rows, each the width of the whole concatenated vector.
+TEST(WriteInjector, ProductMembersWriteEveryEntryHoldingTheRow) {
+  const auto model = SmallProductionModel();
+  const auto platform = MemoryPlatformSpec::AlveoU280();
+  PlacementOptions options;
+  options.max_onchip_tables = model.max_onchip_tables;
+  const auto plan = HeuristicSearch(model.tables, platform, options).value();
+  UpdateWriteInjector injector(plan, platform);
+
+  std::size_t products = 0, plain = 0;
+  for (const TablePlacement& placement : plan.placements) {
+    const CombinedTable& combined = placement.table;
+    for (const TableSpec& member : combined.members()) {
+      const auto* route = injector.route(member.id);
+      ASSERT_NE(route, nullptr) << "table " << member.id;
+      EXPECT_EQ(route->bank, placement.bank);
+      if (!combined.is_product()) {
+        ++plain;
+        EXPECT_EQ(route->amplification_rows, 1u);
+        EXPECT_EQ(route->bytes_per_row_update, member.VectorBytes());
+        continue;
+      }
+      ++products;
+      std::uint64_t others = 1;
+      for (const TableSpec& other : combined.members()) {
+        if (other.id != member.id) others *= other.rows;
+      }
+      EXPECT_EQ(route->amplification_rows, combined.rows() / member.rows);
+      EXPECT_EQ(route->amplification_rows, others);
+      EXPECT_EQ(route->bytes_per_row_update,
+                route->amplification_rows * combined.VectorBytes());
+    }
+  }
+  EXPECT_GT(products, 0u);
+  EXPECT_GT(plain, 0u);
 }
 
 // --------------------------------------------------------- IncrementalReplan

@@ -2,10 +2,10 @@
 # Sanitizer leg of the tier-1 verify path: configures a dedicated build tree
 # with the sanitizers named in $MICROREC_SANITIZE (default
 # address,undefined) and runs the tests most exposed to
-# memory/concurrency bugs -- the lock-free versioned store, the update
-# subsystem around it, the hot cache, the embedding/Cartesian layer it
-# feeds, and the fault-schedule / failover / fault-sweep machinery
-# (shed-lookup bookkeeping, retry state machine, schedule generation),
+# memory/concurrency bugs -- the update subsystem, the hot cache, the
+# embedding/Cartesian layer, and the fault-schedule / failover / fault-sweep
+# machinery (shed-lookup bookkeeping, retry state machine, schedule
+# generation),
 # plus the telemetry layer (metrics registry, histograms, span tracer,
 # identity gates) and its analysis layer (critical-path attribution, time
 # series, SLO burn rate, perf gate, JSON reader), the
@@ -40,7 +40,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 sanitize="${MICROREC_SANITIZE:-address,undefined}"
 build="${1:-"$repo/build-asan"}"
-filter="${2:-"Update|VersionedStore|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|DmaRetry|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
+filter="${2:-"Update|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|DmaRetry|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
