@@ -6,8 +6,20 @@ namespace microrec {
 
 namespace {
 
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
+// One Marsaglia polar candidate: two uniforms mapped to [-1, 1) and their
+// squared radius s, accepted when 0 < s < 1. NextGaussian and
+// DiscardGaussians both draw through here, so a replay accepts and rejects
+// exactly the candidates a real call would.
+inline bool PolarCandidate(Rng& rng, double& u, double& v, double& s) {
+  u = 2.0 * rng.NextDouble() - 1.0;
+  v = 2.0 * rng.NextDouble() - 1.0;
+  s = u * u + v * v;
+  return !(s >= 1.0 || s == 0.0);
+}
+
+// The factor that maps an accepted candidate's u and v to two normals.
+inline double PolarScale(double s) {
+  return std::sqrt(-2.0 * std::log(s) / s);
 }
 
 }  // namespace
@@ -29,38 +41,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(sm);
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::NextBounded(std::uint64_t bound) {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 float Rng::NextFloat(float lo, float hi) {
   return lo + static_cast<float>(NextDouble()) * (hi - lo);
 }
@@ -71,15 +51,35 @@ double Rng::NextGaussian() {
     return spare_gaussian_;
   }
   double u, v, s;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double mul = std::sqrt(-2.0 * std::log(s) / s);
+  while (!PolarCandidate(*this, u, v, s)) {
+  }
+  const double mul = PolarScale(s);
   spare_gaussian_ = v * mul;
   has_spare_gaussian_ = true;
   return u * mul;
+}
+
+void Rng::Discard(std::uint64_t n) {
+  for (; n > 0; --n) Next();
+}
+
+void Rng::DiscardGaussians(std::uint64_t n) {
+  if (n == 0) return;
+  if (has_spare_gaussian_) {  // the first call returns the pending spare
+    has_spare_gaussian_ = false;
+    --n;
+  }
+  // Each accepted pair serves two calls; an odd count leaves the last
+  // pair's second value pending as the spare.
+  double u = 0.0, v = 0.0, s = 0.0;
+  for (std::uint64_t pairs = n / 2 + n % 2; pairs > 0; --pairs) {
+    while (!PolarCandidate(*this, u, v, s)) {
+    }
+  }
+  if (n % 2 == 1) {
+    spare_gaussian_ = v * PolarScale(s);
+    has_spare_gaussian_ = true;
+  }
 }
 
 Rng Rng::Fork() { return Rng(Next()); }

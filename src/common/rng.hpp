@@ -5,6 +5,7 @@
 // reproducible run-to-run and across machines.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -12,6 +13,10 @@ namespace microrec {
 
 /// xoshiro256** PRNG. Fast, high-quality, 2^256-1 period; satisfies
 /// UniformRandomBitGenerator so it plugs into <random> distributions.
+///
+/// The step and the uniform draws built on it are defined here so every
+/// caller inlines them; they are integer operations plus an exact
+/// power-of-two scale, so their values do not depend on where they inline.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -24,20 +29,57 @@ class Rng {
 
   result_type operator()() { return Next(); }
 
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   /// multiply-shift rejection method (unbiased).
-  std::uint64_t NextBounded(std::uint64_t bound);
+  std::uint64_t NextBounded(std::uint64_t bound) {
+    std::uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform float in [lo, hi).
   float NextFloat(float lo, float hi);
 
-  /// Standard normal via Marsaglia polar method.
+  /// Standard normal via Marsaglia polar method. Values come in pairs: a
+  /// call that draws an accepted pair returns one and keeps the other as
+  /// a spare, which the next call returns without drawing.
   double NextGaussian();
+
+  /// Leaves the generator exactly as `n` discarded Next() calls would.
+  void Discard(std::uint64_t n);
+
+  /// Leaves the generator exactly as `n` discarded NextGaussian() calls
+  /// would, spare included: it draws the same polar-method candidates and
+  /// counts accepted pairs, without computing their values (no log or
+  /// sqrt). Only a pair whose second value stays pending as the spare is
+  /// evaluated.
+  void DiscardGaussians(std::uint64_t n);
 
   /// Returns a child generator with a seed derived from this one's stream;
   /// used to give each table / worker an independent stream.

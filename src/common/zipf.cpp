@@ -72,6 +72,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
              ? 0.0
              : (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
                    (1.0 - zeta2_ / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta_);
 }
 
 std::uint64_t ZipfSampler::Sample(Rng& rng) const {
@@ -80,7 +81,7 @@ std::uint64_t ZipfSampler::Sample(Rng& rng) const {
   const double u = rng.NextDouble();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   if (theta_ == 1.0) {
     // Inverse-CDF on the continuous approximation for the harmonic case.
     const double rank = std::exp(u * std::log(static_cast<double>(n_)));

@@ -38,6 +38,7 @@ class ZipfSampler {
   double zeta2_;    // H_{2,theta}
   double alpha_;
   double eta_;
+  double rank1_bound_;  // 1 + 0.5^theta: u * zetan_ below it draws rank 1
 };
 
 /// Generalized harmonic number H_{n,theta} = sum_{i=1..n} 1/i^theta.

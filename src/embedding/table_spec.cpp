@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 namespace microrec {
 
@@ -15,6 +16,11 @@ Status TableSpec::Validate() const {
   if (element_bytes != 2 && element_bytes != 4) {
     return Status::InvalidArgument(
         "table " + name + ": element_bytes must be 2 (fixed16) or 4 (fp32)");
+  }
+  if (rows > std::numeric_limits<Bytes>::max() / VectorBytes()) {
+    return Status::InvalidArgument("table " + name + ": " +
+                                   std::to_string(rows) +
+                                   " rows overflow a 64-bit byte count");
   }
   return Status::Ok();
 }

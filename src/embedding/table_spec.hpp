@@ -32,7 +32,8 @@ struct TableSpec {
   /// Total (virtual) storage of the table.
   Bytes TotalBytes() const { return rows * VectorBytes(); }
 
-  /// OK iff rows >= 1, dim >= 1 and element_bytes in {2, 4}.
+  /// OK iff rows >= 1, dim >= 1, element_bytes in {2, 4} and TotalBytes()
+  /// fits in 64 bits.
   Status Validate() const;
 };
 

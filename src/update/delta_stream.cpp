@@ -49,16 +49,14 @@ UpdateBatch DeltaStream::NextBatch() {
     } else {
       delta.row = zipf_[t].Sample(rng_);
     }
-    // Draw, and discard, the delta's vector: one Gaussian per element for
-    // an update, one uniform (a single Next()) per element for an appended
-    // row. No reader prices the values; these draws keep every later row
-    // and timestamp of the stream unchanged.
-    for (std::uint32_t c = 0; c < model_.tables[t].dim; ++c) {
-      if (grow) {
-        rng_.Next();
-      } else {
-        rng_.NextGaussian();
-      }
+    // Skip the delta's vector: one Gaussian per element for an update, one
+    // uniform (a single Next()) per element for an appended row. No reader
+    // prices the values, so the generator only replays their draws; that
+    // keeps every later row and timestamp of the stream unchanged.
+    if (grow) {
+      rng_.Discard(model_.tables[t].dim);
+    } else {
+      rng_.DiscardGaussians(model_.tables[t].dim);
     }
     batch.deltas.push_back(delta);
   }

@@ -1,6 +1,8 @@
 #include "workload/model_zoo.hpp"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 namespace microrec {
 
@@ -41,8 +43,16 @@ std::uint32_t RecModelSpec::FeatureLength() const {
 
 Status RecModelSpec::Validate() const {
   if (tables.empty()) return Status::InvalidArgument(name + ": no tables");
+  Bytes total_bytes = 0;
   for (std::size_t i = 0; i < tables.size(); ++i) {
     MICROREC_RETURN_IF_ERROR(tables[i].Validate());
+    const Bytes table_bytes = tables[i].TotalBytes();
+    if (table_bytes > std::numeric_limits<Bytes>::max() - total_bytes) {
+      return Status::InvalidArgument(
+          name + ": embedding bytes overflow 64 bits at table " +
+          std::to_string(tables[i].id));
+    }
+    total_bytes += table_bytes;
     // A pairwise scan allocates nothing on the engine-build path; models
     // hold at most a few hundred tables.
     for (std::size_t j = 0; j < i; ++j) {
@@ -58,8 +68,9 @@ Status RecModelSpec::Validate() const {
         name + ": MLP input dim " + std::to_string(mlp.input_dim) +
         " != concatenated feature length " + std::to_string(FeatureLength()));
   }
-  if (lookups_per_table == 0) {
-    return Status::InvalidArgument(name + ": lookups_per_table must be >= 1");
+  if (lookups_per_table == 0 || lookups_per_table > kMaxLookupsPerTable) {
+    return Status::InvalidArgument(name + ": lookups_per_table must be in [1, " +
+                                   std::to_string(kMaxLookupsPerTable) + "]");
   }
   return Status::Ok();
 }

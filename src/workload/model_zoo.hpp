@@ -30,6 +30,10 @@ struct RecModelSpec {
   /// Lookups per table per inference (1 for the production models,
   /// 4 for DLRM-RMC2).
   std::uint32_t lookups_per_table = 1;
+  /// Validate's bound on lookups_per_table: placement and the serving paths
+  /// hold tables x lookups accesses per query. The zoo's heaviest pooling
+  /// is 80.
+  static constexpr std::uint32_t kMaxLookupsPerTable = 1024;
 
   /// "Assigned on-chip storage" expressed as a table-count budget for
   /// placement rule 4 (see PlacementOptions::max_onchip_tables).

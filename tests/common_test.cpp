@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <optional>
@@ -170,6 +171,49 @@ TEST(RngTest, GaussianMomentsApproximatelyStandard) {
   EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
 }
 
+// Discard(n) and DiscardGaussians(n) on one twin, n Next() or NextGaussian()
+// calls on the other: the twins must then agree on every later draw, the
+// Gaussian spare included. Each n runs from a fresh state and from one with
+// a spare pending.
+TEST(RngTest, DiscardsMatchTheCallsTheyReplace) {
+  const std::uint64_t counts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33};
+  for (const bool spare_pending : {false, true}) {
+    for (const std::uint64_t n : counts) {
+      for (const bool gaussians : {false, true}) {
+        Rng called(1000 + n);
+        Rng skipped(1000 + n);
+        if (spare_pending) {
+          called.NextGaussian();
+          skipped.NextGaussian();
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+          if (gaussians) {
+            called.NextGaussian();
+          } else {
+            called.Next();
+          }
+        }
+        if (gaussians) {
+          skipped.DiscardGaussians(n);
+        } else {
+          skipped.Discard(n);
+        }
+        for (int i = 0; i < 8; ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(skipped.NextGaussian()),
+                    std::bit_cast<std::uint64_t>(called.NextGaussian()))
+              << "n=" << n << " spare=" << spare_pending
+              << " gaussians=" << gaussians << " draw " << i;
+        }
+        for (int i = 0; i < 8; ++i) {
+          EXPECT_EQ(skipped.Next(), called.Next())
+              << "n=" << n << " spare=" << spare_pending
+              << " gaussians=" << gaussians << " draw " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(9);
   Rng child = parent.Fork();
@@ -298,6 +342,38 @@ TEST(ZipfTest, HarmonicMemoIsThreadSafe) {
     for (int i = 0; i < 1000; ++i) {
       ASSERT_EQ(samplers[t]->Sample(a), samplers[0]->Sample(b));
     }
+  }
+}
+
+// Folds one word into a running digest.
+void Mix(std::uint64_t& digest, std::uint64_t word) {
+  std::uint64_t state = digest ^ word;
+  digest = SplitMix64(state);
+}
+
+// Pins Sample's output on each of its paths: uniform (theta 0), the
+// harmonic inverse CDF (theta 1), the general one, and a normaliser with an
+// asymptotic tail (n > 2^20). The digest folds in every rank of 10^5 draws
+// and the generator's next word, so it fixes the draws consumed too.
+TEST(ZipfTest, SamplesMatchRecordedDigests) {
+  struct Case {
+    std::uint64_t n;
+    double theta;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1000, 0.9, 0xaee57951c382d4c1ull},
+      {(std::uint64_t{1} << 20) + 5, 0.99, 0x00ba84c77f50cf56ull},
+      {100, 1.0, 0x9c0fb436a20e041full},
+      {7, 0.0, 0xb9fbfa825e059aa1ull},
+  };
+  for (const Case& c : cases) {
+    const ZipfSampler zipf(c.n, c.theta);
+    Rng rng(c.n);
+    std::uint64_t digest = 0;
+    for (int i = 0; i < 100'000; ++i) Mix(digest, zipf.Sample(rng));
+    Mix(digest, rng.Next());
+    EXPECT_EQ(digest, c.digest) << "n=" << c.n << " theta=" << c.theta;
   }
 }
 

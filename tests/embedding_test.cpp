@@ -4,6 +4,9 @@
 // vectors, for every index combination.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "embedding/cartesian.hpp"
 #include "embedding/embedding_table.hpp"
 #include "embedding/table_spec.hpp"
@@ -35,6 +38,20 @@ TEST(TableSpecTest, ValidationRejectsDegenerateSpecs) {
   bad.element_bytes = 3;
   EXPECT_FALSE(bad.Validate().ok());
   EXPECT_TRUE(MakeSpec(0, 10, 4).Validate().ok());
+}
+
+TEST(TableSpecTest, ValidationRejectsByteCountOverflow) {
+  // TotalBytes() is rows x VectorBytes(); a row count that makes it wrap
+  // is rejected, the largest that does not is accepted.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_FALSE(MakeSpec(0, kMax, 4).Validate().ok());
+  EXPECT_TRUE(MakeSpec(0, kMax / 16, 4).Validate().ok());
+  EXPECT_FALSE(MakeSpec(0, kMax / 16 + 1, 4).Validate().ok());
+  TableSpec half = MakeSpec(0, kMax / 8, 4);
+  half.element_bytes = 2;
+  EXPECT_TRUE(half.Validate().ok());
+  half.rows += 1;
+  EXPECT_FALSE(half.Validate().ok());
 }
 
 TEST(TableSpecTest, HalfPrecisionElements) {

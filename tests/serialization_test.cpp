@@ -1,6 +1,10 @@
 // Tests for the model / placement-plan text serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "core/serialization.hpp"
 #include "memsim/dram_timing.hpp"
 #include "placement/heuristic.hpp"
@@ -93,6 +97,46 @@ TEST(ModelSerializationTest, RejectsDuplicateTableIds) {
   EXPECT_NE(result.status().message().find("duplicate table id 0"),
             std::string::npos)
       << result.status();
+}
+
+TEST(ModelSerializationTest, RejectsUnboundedLookupsPerTable) {
+  // 2^32 - 1 fits the 32-bit field, but placement reserves one access per
+  // table per lookup, so `plan` died in the allocation.
+  const std::string head = "microrec-model v1\nmlp 4 16\ntable 0 10 4 4 t0\n";
+  const auto huge = ParseModel(head + "lookups_per_table 4294967295\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("lookups_per_table"),
+            std::string::npos)
+      << huge.status();
+  const std::uint32_t cap = RecModelSpec::kMaxLookupsPerTable;
+  EXPECT_TRUE(
+      ParseModel(head + "lookups_per_table " + std::to_string(cap) + "\n")
+          .ok());
+  EXPECT_FALSE(
+      ParseModel(head + "lookups_per_table " + std::to_string(cap + 1) + "\n")
+          .ok());
+}
+
+TEST(ModelSerializationTest, RejectsTablesWhoseBytesOverflow) {
+  // rows x 16-byte vectors wrapped to a small size, so `inspect` reported
+  // 1.22 GiB of embeddings for a table of 2^64 - 1 rows.
+  const auto wide_rows = ParseModel(
+      "microrec-model v1\nmlp 4 16\ntable 0 18446744073709551615 4 4 t0\n");
+  ASSERT_FALSE(wide_rows.ok());
+  EXPECT_NE(wide_rows.status().message().find("t0"), std::string::npos)
+      << wide_rows.status();
+  // Each table fits on its own; together they exceed 2^64 bytes.
+  const std::string largest = std::to_string(
+      std::numeric_limits<std::uint64_t>::max() / 16);
+  EXPECT_TRUE(ParseModel("microrec-model v1\nmlp 4 16\ntable 0 " + largest +
+                         " 4 4 t0\n")
+                  .ok());
+  const auto wide_sum =
+      ParseModel("microrec-model v1\nmlp 8 16\ntable 0 " + largest +
+                 " 4 4 t0\ntable 1 " + largest + " 4 4 t1\n");
+  ASSERT_FALSE(wide_sum.ok());
+  EXPECT_NE(wide_sum.status().message().find("bytes"), std::string::npos)
+      << wide_sum.status();
 }
 
 TEST(ModelSerializationTest, RejectsInvalidTable) {

@@ -138,6 +138,25 @@ void Mix(std::uint64_t& digest, std::uint64_t word) {
   digest = SplitMix64(state);
 }
 
+// Digest of every batch timestamp and every delta's table, row, seq and
+// growth flag over the stream's next `batches` batches.
+std::uint64_t StreamDigest(DeltaStream& stream, int batches,
+                           std::uint64_t& grown) {
+  std::uint64_t digest = 0;
+  for (int i = 0; i < batches; ++i) {
+    const UpdateBatch batch = stream.NextBatch();
+    Mix(digest, std::bit_cast<std::uint64_t>(batch.time_ns));
+    for (const EmbeddingDelta& d : batch.deltas) {
+      Mix(digest, d.table_id);
+      Mix(digest, d.row);
+      Mix(digest, d.seq);
+      Mix(digest, d.grows_table ? 1 : 0);
+      grown += d.grows_table ? 1 : 0;
+    }
+  }
+  return digest;
+}
+
 // Pins the stream's RNG consumption: the recorded digest fixes every row,
 // seq and timestamp, so the value draws NextBatch discards (one Gaussian per
 // element of an update, one uniform per element of an appended row) must
@@ -150,22 +169,36 @@ TEST(DeltaStream, StreamMatchesParentRecording) {
   config.growth_fraction = 0.1;
   config.seed = 7;
   DeltaStream stream(SmallProductionModel(), config);
-  std::uint64_t digest = 0;
   std::uint64_t grown = 0;
-  for (int i = 0; i < 256; ++i) {
-    const UpdateBatch batch = stream.NextBatch();
-    Mix(digest, std::bit_cast<std::uint64_t>(batch.time_ns));
-    for (const EmbeddingDelta& d : batch.deltas) {
-      Mix(digest, d.table_id);
-      Mix(digest, d.row);
-      Mix(digest, d.seq);
-      Mix(digest, d.grows_table ? 1 : 0);
-      grown += d.grows_table ? 1 : 0;
-    }
-  }
+  EXPECT_EQ(StreamDigest(stream, 256, grown), 0x6cf5e74da7ac18fdull);
   EXPECT_GT(grown, 0u);
   EXPECT_LT(grown, 256u * 64u);
-  EXPECT_EQ(digest, 0x6cf5e74da7ac18fdull);
+}
+
+// The same pin over odd dims. SmallProductionModel's dims are all even, so
+// an update there never leaves a Gaussian spare pending for the next one;
+// here a dim-1, 3, 5 or 7 update leaves one whenever it starts without.
+TEST(DeltaStream, OddDimStreamMatchesRecordedDigest) {
+  RecModelSpec model;
+  model.name = "odd-dims";
+  model.tables = {
+      TableSpec{0, "t0", 40, 1, 4},
+      TableSpec{1, "t1", 3'000, 3, 4},
+      TableSpec{2, "t2", 70'000, 5, 4},
+      TableSpec{3, "t3", 1'200'000, 7, 4},
+  };
+  model.mlp.input_dim = 16;
+  model.mlp.hidden = {8};
+  DeltaStreamConfig config;
+  config.update_row_qps = 1e6;
+  config.rows_per_batch = 64;
+  config.growth_fraction = 0.1;
+  config.seed = 13;
+  DeltaStream stream(model, config);
+  std::uint64_t grown = 0;
+  EXPECT_EQ(StreamDigest(stream, 256, grown), 0xa7467f1ed14a0958ull);
+  EXPECT_GT(grown, 0u);
+  EXPECT_LT(grown, 256u * 64u);
 }
 
 // ------------------------------------------------------- UpdateWriteInjector
