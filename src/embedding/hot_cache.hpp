@@ -6,14 +6,15 @@
 // tables on chip. This simulator quantifies the dynamic alternative --
 // caching individual hot rows of *large* tables under skewed (Zipf)
 // traffic -- so the repo can report how much further on-chip SRAM could
-// cut average lookup latency (bench_ablation_hot_cache).
+// cut average lookup latency (bench_ablation_hot_cache) and what the
+// scheduler's hot-cache backend (sched/backends.hpp) hits.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/units.hpp"
 #include "tensor/packed_rows.hpp"
@@ -35,6 +36,14 @@ struct EmbeddingCacheStats {
 
 /// Fully-associative LRU cache over (table, row) keys with a byte-capacity
 /// budget; each entry occupies its embedding vector's size.
+///
+/// The state is flat. Entries live in one pool and carry the LRU list as
+/// 32-bit prev/next links; evicted entries chain through `next` on a free
+/// list for reuse. An open-addressed power-of-two index of entry ids
+/// (linear probing, backward-shift deletion, mixed keys) finds them. The
+/// constructor allocates nothing, the index doubles only when the live
+/// entries pass half its slots, and a full cache allocates nothing per
+/// access. More than 2^32 - 1 entries fail a check instead of wrapping.
 class EmbeddingCacheSim {
  public:
   explicit EmbeddingCacheSim(Bytes capacity_bytes);
@@ -51,24 +60,34 @@ class EmbeddingCacheSim {
   void Clear();
 
  private:
-  struct Key {
-    std::uint32_t table_id;
-    std::uint64_t row;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>()(k.row * 1000003ull + k.table_id);
-    }
-  };
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
   struct Entry {
-    Key key;
+    std::uint64_t row;
     Bytes bytes;
+    std::uint32_t table_id;
+    std::uint32_t prev;  ///< more recent neighbour; kNone at the front
+    std::uint32_t next;  ///< less recent neighbour (or next free entry)
   };
 
+  /// Index slot the key hashes to.
+  std::size_t Home(std::uint32_t table_id, std::uint64_t row) const;
+  void Unlink(std::uint32_t id);
+  void PushFront(std::uint32_t id);
+  /// Places `id` in the first free slot of its probe run.
+  void InsertIntoIndex(std::uint32_t id);
+  /// Removes `id` from the index, shifting its probe run back.
+  void EraseFromIndex(std::uint32_t id);
+  /// Doubles the index (first use: kMinIndexSlots) and reinserts.
+  void GrowIndex();
+
   Bytes capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  std::vector<Entry> entries_;
+  std::uint32_t front_ = kNone;  ///< most recently used
+  std::uint32_t back_ = kNone;   ///< least recently used
+  std::uint32_t free_ = kNone;
+  std::size_t live_ = 0;
+  std::vector<std::uint32_t> index_;  ///< entry id per slot, kNone if empty
   EmbeddingCacheStats stats_;
 };
 

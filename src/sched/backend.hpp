@@ -51,10 +51,13 @@ struct SchedQuery {
   std::uint64_t lookups_per_item = 1;
 };
 
-/// A served query's completion, emitted by Drain/Finalize.
+/// A served query's completion, emitted by Drain/Finalize. It carries the
+/// arrival that Admit saw, so a wrapper can anchor per-query transforms
+/// without keeping its own table of in-flight queries.
 struct SchedCompletion {
   std::uint64_t query_id = 0;
   Nanoseconds completion_ns = 0.0;
+  Nanoseconds admit_ns = 0.0;
 };
 
 /// Linear expected-service-time model every backend exposes:
@@ -137,8 +140,9 @@ class Backend {
 /// in sorted order, which is what makes the Drain contract cheap to honor.
 class CompletionQueue {
  public:
-  void Push(std::uint64_t query_id, Nanoseconds completion_ns) {
-    heap_.push({completion_ns, query_id});
+  void Push(std::uint64_t query_id, Nanoseconds completion_ns,
+            Nanoseconds admit_ns) {
+    heap_.push({query_id, completion_ns, admit_ns});
   }
 
   std::size_t size() const { return heap_.size(); }
@@ -146,13 +150,13 @@ class CompletionQueue {
   /// Earliest queued completion time; +inf when empty.
   Nanoseconds EarliestNs() const {
     return heap_.empty() ? std::numeric_limits<Nanoseconds>::infinity()
-                         : heap_.top().first;
+                         : heap_.top().completion_ns;
   }
 
   /// Pops everything with completion <= now into `out`, in order.
   void DrainUntil(Nanoseconds now, std::vector<SchedCompletion>& out) {
-    while (!heap_.empty() && heap_.top().first <= now) {
-      out.push_back({heap_.top().second, heap_.top().first});
+    while (!heap_.empty() && heap_.top().completion_ns <= now) {
+      out.push_back(heap_.top());
       heap_.pop();
     }
   }
@@ -160,14 +164,22 @@ class CompletionQueue {
   /// Pops everything, in order.
   void DrainAll(std::vector<SchedCompletion>& out) {
     while (!heap_.empty()) {
-      out.push_back({heap_.top().second, heap_.top().first});
+      out.push_back(heap_.top());
       heap_.pop();
     }
   }
 
  private:
-  using Item = std::pair<Nanoseconds, std::uint64_t>;  // (completion, id)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap_;
+  struct Later {
+    bool operator()(const SchedCompletion& a, const SchedCompletion& b) const {
+      if (a.completion_ns != b.completion_ns) {
+        return a.completion_ns > b.completion_ns;
+      }
+      return a.query_id > b.query_id;
+    }
+  };
+  std::priority_queue<SchedCompletion, std::vector<SchedCompletion>, Later>
+      heap_;
 };
 
 }  // namespace microrec::sched

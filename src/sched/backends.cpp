@@ -82,7 +82,8 @@ bool PipelineBackend::Admit(const SchedQuery& q) {
       config_.faults.BankLatencyMultiplier(best, q.arrival_ns);
   done_.Push(q.id,
              replicas_[best].AdmitWithLatency(
-                 q.arrival_ns, q.items, config_.item_latency_ns * multiplier));
+                 q.arrival_ns, q.items, config_.item_latency_ns * multiplier),
+             q.arrival_ns);
   return true;
 }
 
@@ -118,8 +119,11 @@ CpuBatchedBackend::CpuBatchedBackend(const CpuBackendConfig& config)
   };
   servers_.reserve(config.servers);
   for (std::uint32_t s = 0; s < config.servers; ++s) {
-    servers_.emplace_back(config.max_batch, config.batch_timeout_ns,
-                          latency_fn);
+    servers_.push_back({OnlineBatchedServer(config.max_batch,
+                                            config.batch_timeout_ns,
+                                            latency_fn),
+                        {},
+                        0});
   }
 }
 
@@ -136,9 +140,9 @@ double CpuBatchedBackend::capacity_items_per_s() const {
 }
 
 Nanoseconds CpuBatchedBackend::QueueDepthNs(Nanoseconds now) const {
-  Nanoseconds earliest_free = servers_[0].server_free();
+  Nanoseconds earliest_free = servers_[0].batcher.server_free();
   for (std::size_t s = 1; s < servers_.size(); ++s) {
-    earliest_free = std::min(earliest_free, servers_[s].server_free());
+    earliest_free = std::min(earliest_free, servers_[s].batcher.server_free());
   }
   return std::max(0.0, earliest_free - now);
 }
@@ -147,49 +151,57 @@ bool CpuBatchedBackend::Admit(const SchedQuery& q) {
   // The query's items join one server's batch queue as individual units
   // (they may straddle batches when a batch fills mid-query); the query
   // completes with its last unit.
-  OnlineBatchedServer& server = servers_[next_server_];
+  MICROREC_CHECK(q.items >= 1);
+  Server& server = servers_[next_server_];
   next_server_ = (next_server_ + 1) % servers_.size();
+  server.in_flight.push_back({q.id, q.items, q.arrival_ns});
   for (std::uint64_t u = 0; u < q.items; ++u) {
-    server.Assign(static_cast<std::size_t>(q.id), q.arrival_ns);
+    server.batcher.Assign(static_cast<std::size_t>(q.id), q.arrival_ns);
   }
-  in_flight_[q.id] = {q.items, 0.0};
   return true;
 }
 
-void CpuBatchedBackend::Resolve() {
+void CpuBatchedBackend::FlushServer(Server& server, Nanoseconds now,
+                                    bool final_flush) {
+  server.batcher.Flush(now, raw_, final_flush);
   for (const auto& [unit_id, completion] : raw_) {
-    auto it = in_flight_.find(unit_id);
-    MICROREC_CHECK(it != in_flight_.end());
-    auto& [remaining, latest] = it->second;
-    latest = std::max(latest, completion);
-    if (--remaining == 0) {
-      done_.Push(it->first, latest);
-      in_flight_.erase(it);
+    MICROREC_CHECK(server.head < server.in_flight.size());
+    InFlight& front = server.in_flight[server.head];
+    MICROREC_CHECK(front.query_id == unit_id);
+    if (--front.units_left == 0) {
+      done_.Push(front.query_id, completion, front.arrival_ns);
+      ++server.head;
     }
   }
   raw_.clear();
+  if (server.head * 2 >= server.in_flight.size()) {  // moves <= it drops
+    server.in_flight.erase(
+        server.in_flight.begin(),
+        server.in_flight.begin() + static_cast<std::ptrdiff_t>(server.head));
+    server.head = 0;
+  }
 }
 
 Nanoseconds CpuBatchedBackend::NextDueNs() const {
   Nanoseconds due = done_.EarliestNs();
-  for (const auto& server : servers_) {
-    due = std::min(due, server.NextLaunchNs());
+  for (const Server& server : servers_) {
+    due = std::min(due, server.batcher.NextLaunchNs());
   }
   return due;
 }
 
 void CpuBatchedBackend::Drain(Nanoseconds now,
                               std::vector<SchedCompletion>& out) {
-  for (auto& server : servers_) server.Flush(now, raw_);
-  Resolve();
+  for (Server& server : servers_) {
+    FlushServer(server, now, /*final_flush=*/false);
+  }
   done_.DrainUntil(now, out);
 }
 
 void CpuBatchedBackend::Finalize(std::vector<SchedCompletion>& out) {
-  for (auto& server : servers_) {
-    server.Flush(0.0, raw_, /*final_flush=*/true);
+  for (Server& server : servers_) {
+    FlushServer(server, 0.0, /*final_flush=*/true);
   }
-  Resolve();
   done_.DrainAll(out);
 }
 
@@ -236,7 +248,8 @@ bool HotCacheBackend::Admit(const SchedQuery& q) {
       hit_fraction * config_.hit_item_latency_ns +
       (1.0 - hit_fraction) * config_.miss_item_latency_ns;
   done_.Push(q.id,
-             pipeline_.AdmitWithLatency(q.arrival_ns, q.items, item_latency));
+             pipeline_.AdmitWithLatency(q.arrival_ns, q.items, item_latency),
+             q.arrival_ns);
   const double hr = cache_.stats().hit_rate();
   cost_.fixed_ns = hr * config_.hit_item_latency_ns +
                    (1.0 - hr) * config_.miss_item_latency_ns -

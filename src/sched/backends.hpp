@@ -12,7 +12,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -84,6 +83,12 @@ class PipelineBackend : public Backend {
 // fixed_overhead + b * (per_item + lookups_per_item * per_lookup). With
 // one server and single-item queries this is exactly OnlineBatchedServer
 // with every query assigned and then a final flush.
+//
+// A server launches its units in assignment order, and each batch starts
+// at or after the previous one completes, so units resolve front to back:
+// one FIFO of (query, units left, arrival) per server tracks every query
+// in flight, and a unit that does not match its FIFO's front is a broken
+// invariant.
 // ---------------------------------------------------------------------------
 
 struct CpuBackendConfig {
@@ -117,17 +122,30 @@ class CpuBatchedBackend : public Backend {
   void Finalize(std::vector<SchedCompletion>& out) override;
 
  private:
-  /// Resolves the (unit id, batch completion) pairs in raw_ into
-  /// whole-query completions pushed onto done_, then clears raw_.
-  void Resolve();
+  /// A query assigned to a server whose last unit has not completed.
+  struct InFlight {
+    std::uint64_t query_id;
+    std::uint64_t units_left;
+    Nanoseconds arrival_ns;
+  };
+  /// One batch server and its in-flight queries in assignment order;
+  /// entries before `head` are resolved and compacted away in amortised
+  /// O(1).
+  struct Server {
+    OnlineBatchedServer batcher;
+    std::vector<InFlight> in_flight;
+    std::size_t head = 0;
+  };
+
+  /// Flushes `server` at `now` and resolves the (unit id, batch
+  /// completion) pairs it launched against its FIFO, pushing each query
+  /// whose last unit completed onto done_.
+  void FlushServer(Server& server, Nanoseconds now, bool final_flush);
 
   CpuBackendConfig config_;
   BackendCostModel cost_;
-  std::vector<OnlineBatchedServer> servers_;
+  std::vector<Server> servers_;
   std::size_t next_server_ = 0;
-  /// query id -> (units still in flight, latest unit completion).
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, Nanoseconds>>
-      in_flight_;
   CompletionQueue done_;
   std::vector<std::pair<std::size_t, Nanoseconds>> raw_;
 };

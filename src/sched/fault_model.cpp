@@ -27,17 +27,12 @@ bool FaultInjectedBackend::Admit(const SchedQuery& q) {
     ++crash_rejects_;
     return false;
   }
-  if (!inner_->Admit(q)) return false;
-  admitted_at_.emplace(q.id, q.arrival_ns);
-  return true;
+  return inner_->Admit(q);
 }
 
 void FaultInjectedBackend::Transform(std::vector<SchedCompletion>& raw) {
   for (const SchedCompletion& c : raw) {
-    const auto it = admitted_at_.find(c.query_id);
-    MICROREC_CHECK(it != admitted_at_.end());
-    const Nanoseconds admit = it->second;
-    admitted_at_.erase(it);
+    const Nanoseconds admit = c.admit_ns;
     Nanoseconds t = c.completion_ns;
     // Brownout: the window covering the admit stretches the whole
     // residence time (queueing inside the inner machine included). The
@@ -47,7 +42,7 @@ void FaultInjectedBackend::Transform(std::vector<SchedCompletion>& raw) {
     // Stall: a completion landing inside a stall window waits it out.
     const Nanoseconds stall_end = model_.StallEnd(t);
     if (stall_end > t) t = stall_end;
-    done_.Push(c.query_id, t);
+    done_.Push(c.query_id, t, admit);
   }
   raw.clear();
 }

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "faults/fault_schedule.hpp"
@@ -75,11 +74,11 @@ class BackendFaultModel {
   std::uint32_t target_ = 0;
 };
 
-/// Wraps a Backend with a BackendFaultModel. The wrapper holds the only
-/// mutable state needed -- the admit time of every in-flight query (to
-/// anchor the brownout scale) and a re-sorting completion queue (scaled
-/// completions can change order) -- so the inner state machine runs
-/// exactly as it would healthy; faults transform its *outputs*.
+/// Wraps a Backend with a BackendFaultModel. The wrapper's only mutable
+/// state is a re-sorting completion queue (scaled completions can change
+/// order); the brownout anchors on the admit time each completion carries.
+/// The inner state machine runs exactly as it would healthy; faults
+/// transform its *outputs*.
 class FaultInjectedBackend : public Backend {
  public:
   FaultInjectedBackend(std::unique_ptr<Backend> inner,
@@ -115,9 +114,6 @@ class FaultInjectedBackend : public Backend {
 
   std::unique_ptr<Backend> inner_;
   BackendFaultModel model_;
-  /// query id -> admit time, for the brownout anchor. Only populated when
-  /// the model is non-empty.
-  std::unordered_map<std::uint64_t, Nanoseconds> admitted_at_;
   CompletionQueue done_;
   std::vector<SchedCompletion> scratch_;
   std::uint64_t crash_rejects_ = 0;

@@ -44,8 +44,10 @@ std::uint32_t RecModelSpec::FeatureLength() const {
 Status RecModelSpec::Validate() const {
   if (tables.empty()) return Status::InvalidArgument(name + ": no tables");
   Bytes total_bytes = 0;
+  std::uint64_t feature_length = 0;  // FeatureLength() without the wrap
   for (std::size_t i = 0; i < tables.size(); ++i) {
     MICROREC_RETURN_IF_ERROR(tables[i].Validate());
+    feature_length += tables[i].dim;
     const Bytes table_bytes = tables[i].TotalBytes();
     if (table_bytes > std::numeric_limits<Bytes>::max() - total_bytes) {
       return Status::InvalidArgument(
@@ -61,6 +63,11 @@ Status RecModelSpec::Validate() const {
                                        std::to_string(tables[i].id));
       }
     }
+  }
+  if (feature_length > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument(name + ": feature length " +
+                                   std::to_string(feature_length) +
+                                   " (sum of table dims) overflows 32 bits");
   }
   MICROREC_RETURN_IF_ERROR(mlp.Validate());
   if (mlp.input_dim != FeatureLength()) {

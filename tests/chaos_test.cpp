@@ -325,6 +325,93 @@ TEST(BackendFaultModelTest, BrownoutScalesResidenceTimeFromAdmit) {
   EXPECT_GE(wrapped.QueueDepthNs(500.0), probe_ref->QueueDepthNs(500.0));
 }
 
+/// Runs `queries` through a healthy backend and its browned-out twin (a
+/// kChannelDegrade window of `magnitude` over [0, window_end)), and checks
+/// each query the window covers against admit + (healthy - admit) x
+/// magnitude, and every other query against its healthy completion. The
+/// wrapper reads the admit anchor from the completions the inner backend
+/// emits, so this holds for batched and cached backends alike.
+void ExpectBrownoutScalesFromAdmit(std::unique_ptr<sched::Backend> healthy,
+                                   std::unique_ptr<sched::Backend> inner,
+                                   const std::vector<sched::SchedQuery>& queries,
+                                   Nanoseconds window_end, double magnitude) {
+  sched::FaultInjectedBackend wrapped(
+      std::move(inner),
+      sched::BackendFaultModel(OneEvent(FaultKind::kChannelDegrade, 0.0,
+                                        window_end, /*target=*/0, magnitude),
+                               0));
+  const auto plain = RunThrough(*healthy, queries);
+  const auto browned = RunThrough(wrapped, queries);
+  ASSERT_EQ(plain.size(), queries.size());
+  ASSERT_EQ(browned.size(), queries.size());
+  std::vector<Nanoseconds> healthy_done(queries.size());
+  for (const sched::SchedCompletion& c : plain) {
+    EXPECT_EQ(c.admit_ns, queries[c.query_id].arrival_ns);
+    healthy_done[c.query_id] = c.completion_ns;
+  }
+  std::size_t scaled = 0;
+  for (std::size_t i = 0; i < browned.size(); ++i) {
+    const sched::SchedCompletion& c = browned[i];
+    const Nanoseconds admit = queries[c.query_id].arrival_ns;
+    const Nanoseconds healthy_ns = healthy_done[c.query_id];
+    EXPECT_EQ(c.admit_ns, admit) << "query " << c.query_id;
+    if (admit < window_end) {
+      ++scaled;
+      EXPECT_EQ(c.completion_ns, admit + (healthy_ns - admit) * magnitude)
+          << "query " << c.query_id;
+    } else {
+      EXPECT_EQ(c.completion_ns, healthy_ns) << "query " << c.query_id;
+    }
+    if (i > 0) {  // re-sorted after scaling
+      const sched::SchedCompletion& prev = browned[i - 1];
+      EXPECT_TRUE(prev.completion_ns < c.completion_ns ||
+                  (prev.completion_ns == c.completion_ns &&
+                   prev.query_id < c.query_id));
+    }
+  }
+  EXPECT_GT(scaled, 0u);
+  EXPECT_LT(scaled, queries.size());
+}
+
+TEST(BackendFaultModelTest, BrownoutOverBatchedCpuScalesFromAdmit) {
+  // Two servers with 8-unit batches and 1-13-item queries: most queries
+  // straddle batches, so each completes with its last unit's batch.
+  sched::CpuBackendConfig config;
+  config.servers = 2;
+  config.max_batch = 8;
+  config.batch_timeout_ns = 2'000.0;
+  config.fixed_overhead_ns = 5'000.0;
+  config.per_item_ns = 300.0;
+  config.per_lookup_ns = 20.0;
+  config.lookups_per_item = 4;
+  std::vector<sched::SchedQuery> queries;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    queries.push_back({i, static_cast<double>(i) * 1'500.0, 1 + i * 7 % 13, 4});
+  }
+  ExpectBrownoutScalesFromAdmit(
+      std::make_unique<sched::CpuBatchedBackend>(config),
+      std::make_unique<sched::CpuBatchedBackend>(config), queries,
+      /*window_end=*/45'000.0, /*magnitude=*/2.5);
+}
+
+TEST(BackendFaultModelTest, BrownoutOverHotCacheScalesFromAdmit) {
+  sched::HotCacheBackendConfig config;
+  config.hit_item_latency_ns = 1'000.0;
+  config.miss_item_latency_ns = 6'000.0;
+  config.initiation_interval_ns = 400.0;
+  config.cache_capacity_bytes = 64 * 64;
+  config.key_space = 512;
+  config.seed = 5;
+  std::vector<sched::SchedQuery> queries;
+  for (std::uint64_t i = 0; i < 80; ++i) {
+    queries.push_back({i, static_cast<double>(i) * 900.0, 1 + i % 5, 1});
+  }
+  ExpectBrownoutScalesFromAdmit(
+      std::make_unique<sched::HotCacheBackend>(config),
+      std::make_unique<sched::HotCacheBackend>(config), queries,
+      /*window_end=*/40'000.0, /*magnitude=*/3.0);
+}
+
 TEST(BackendFaultModelTest, StallDefersCompletionsToWindowEnd) {
   sched::FaultInjectedBackend wrapped(
       MakePipeline("p", 50.0, 10.0),

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "common/rng.hpp"
 #include "faults/fault_schedule.hpp"
 #include "sched/backend.hpp"
 #include "sched/backends.hpp"
@@ -213,10 +214,10 @@ TEST(SchedBackendTest, CostModelIsLinearInItemsAndLookups) {
 
 TEST(SchedBackendTest, CompletionQueueDrainsInCompletionThenIdOrder) {
   CompletionQueue q;
-  q.Push(3, 50.0);
-  q.Push(1, 10.0);
-  q.Push(2, 50.0);
-  q.Push(0, 30.0);
+  q.Push(3, 50.0, 3.0);
+  q.Push(1, 10.0, 1.0);
+  q.Push(2, 50.0, 2.0);
+  q.Push(0, 30.0, 0.0);
   std::vector<SchedCompletion> out;
   q.DrainUntil(30.0, out);
   ASSERT_EQ(out.size(), 2u);
@@ -226,6 +227,9 @@ TEST(SchedBackendTest, CompletionQueueDrainsInCompletionThenIdOrder) {
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[2].query_id, 2u);  // ties on completion break by id
   EXPECT_EQ(out[3].query_id, 3u);
+  for (const SchedCompletion& c : out) {  // each keeps its own admit time
+    EXPECT_EQ(c.admit_ns, static_cast<double>(c.query_id));
+  }
 }
 
 TEST(SchedBackendTest, PipelineBackendMatchesPipelinedServerBitForBit) {
@@ -299,6 +303,82 @@ TEST(SchedBackendTest, CpuBackendMatchesBatchedServerBitForBit) {
     offline[query_id] = completion;
   }
   ExpectSameReport(ours, SummarizeServing(arrivals, offline, sla));
+}
+
+TEST(SchedBackendTest, MultiServerCpuBackendMatchesOfflineServersPerQuery) {
+  // Three servers, queries of 1-300 items (most straddle several 64-unit
+  // batches), drained at irregular times. Offline reference: query i goes
+  // to server i mod 3 (round-robin placement), every unit is assigned up
+  // front, one final flush runs, and a query completes with its last unit.
+  CpuBackendConfig config;
+  config.servers = 3;
+  config.max_batch = 64;
+  config.batch_timeout_ns = Microseconds(20);
+  config.fixed_overhead_ns = Microseconds(30);
+  config.per_item_ns = 200.0;
+  config.per_lookup_ns = 25.0;
+  config.lookups_per_item = 8;
+  const auto arrivals = PoissonArrivals(15'000.0, 600, 33);
+  Rng rng(34);
+  std::vector<SchedQuery> queries = UnitQueries(arrivals, 8);
+  for (SchedQuery& q : queries) q.items = 1 + rng.NextBounded(300);
+
+  std::vector<OnlineBatchedServer> servers;
+  for (std::uint32_t s = 0; s < config.servers; ++s) {
+    servers.emplace_back(config.max_batch, config.batch_timeout_ns,
+                         [&](std::uint64_t batch) {
+                           return config.fixed_overhead_ns +
+                                  static_cast<double>(batch) *
+                                      (config.per_item_ns +
+                                       8.0 * config.per_lookup_ns);
+                         });
+  }
+  for (const SchedQuery& q : queries) {
+    for (std::uint64_t u = 0; u < q.items; ++u) {
+      servers[q.id % config.servers].Assign(q.id, q.arrival_ns);
+    }
+  }
+  std::vector<Nanoseconds> offline(queries.size(), 0.0);
+  for (OnlineBatchedServer& server : servers) {
+    std::vector<std::pair<std::size_t, Nanoseconds>> units;
+    server.Flush(0.0, units, /*final_flush=*/true);
+    for (const auto& [query_id, completion] : units) {
+      offline[query_id] = completion;  // the last unit's batch wins
+    }
+  }
+
+  CpuBatchedBackend backend(config);
+  std::vector<SchedCompletion> done;
+  Nanoseconds clock = 0.0;
+  const auto drain = [&](Nanoseconds now) {
+    const std::size_t before = done.size();
+    backend.Drain(now, done);
+    for (std::size_t i = before; i < done.size(); ++i) {
+      EXPECT_LE(done[i].completion_ns, now);
+      if (i > before) {
+        EXPECT_LE(done[i - 1].completion_ns, done[i].completion_ns);
+      }
+    }
+    clock = now;
+  };
+  for (const SchedQuery& q : queries) {
+    // Skip some arrivals, drain others once or twice in the gap.
+    for (std::uint64_t k = rng.NextBounded(3); k > 0; --k) {
+      drain(clock + (q.arrival_ns - clock) * rng.NextDouble());
+    }
+    ASSERT_TRUE(backend.Admit(q));
+  }
+  drain(clock + Microseconds(500) * rng.NextDouble());
+  backend.Finalize(done);
+  ASSERT_EQ(done.size(), queries.size());
+  std::vector<bool> seen(queries.size(), false);
+  for (const SchedCompletion& c : done) {
+    ASSERT_LT(c.query_id, queries.size());
+    EXPECT_FALSE(seen[c.query_id]) << "query " << c.query_id;
+    seen[c.query_id] = true;
+    EXPECT_EQ(c.completion_ns, offline[c.query_id]) << "query " << c.query_id;
+    EXPECT_EQ(c.admit_ns, queries[c.query_id].arrival_ns);
+  }
 }
 
 TEST(SchedBackendTest, DrainSurfacesOnlyElapsedCompletionsInOrder) {

@@ -139,6 +139,28 @@ TEST(ModelSerializationTest, RejectsTablesWhoseBytesOverflow) {
       << wide_sum.status();
 }
 
+TEST(ModelSerializationTest, RejectsFeatureLengthPast32Bits) {
+  // The dims summed in 32 bits to 4, so `inspect` accepted `mlp 4 16` and
+  // printed "feature length 4" for two tables of dim 2147483650.
+  const auto wrapped = ParseModel(
+      "microrec-model v1\nmlp 4 16\ntable 0 10 2147483650 4 t0\n"
+      "table 1 10 2147483650 4 t1\n");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrapped.status().message().find("feature length 4294967300"),
+            std::string::npos)
+      << wrapped.status();
+  // A sum of exactly 2^32 - 1 fits: the model fails only the MLP check.
+  const auto widest = ParseModel(
+      "microrec-model v1\nmlp 4 16\ntable 0 10 2147483647 4 t0\n"
+      "table 1 10 2147483648 4 t1\n");
+  ASSERT_FALSE(widest.ok());
+  EXPECT_EQ(widest.status().code(), StatusCode::kFailedPrecondition)
+      << widest.status();
+  EXPECT_NE(widest.status().message().find("4294967295"), std::string::npos)
+      << widest.status();
+}
+
 TEST(ModelSerializationTest, RejectsInvalidTable) {
   const auto result = ParseModel(
       "microrec-model v1\nmlp 8 16\ntable 0 0 4 4 empty\n");

@@ -14,7 +14,8 @@
 // allocations (if any) must be counted too. Every engine test runs at 1, 2
 // and 4 threads: the pool hands shards to its workers through a job on the
 // caller's stack and a non-owning callable reference, so sharding a batch
-// allocates nothing.
+// allocates nothing. The simulated fleet's LRU hot-row cache is held to the
+// same rule once it is full.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +23,11 @@
 #include <mutex>
 #include <new>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/zipf.hpp"
 #include "cpu/cpu_engine.hpp"
+#include "embedding/hot_cache.hpp"
 #include "nn/mlp.hpp"
 #include "workload/model_zoo.hpp"
 #include "workload/query_gen.hpp"
@@ -241,6 +245,24 @@ TEST(ZeroAllocTest, SmallerBatchReusesWarmScratch) {
     EXPECT_EQ(AllocCount(), before)
         << "batch-size change within the high-water mark allocated";
   }
+}
+
+TEST(ZeroAllocTest, FullHotRowCacheAllocatesNothingPerAccess) {
+  // The scheduler fleet's hot-cache shape: 4 MiB of 64-byte rows under
+  // Zipf(0.95) over 2^20 keys. Building the cache allocates nothing; once
+  // it is full every miss evicts as much as it inserts.
+  const std::uint64_t before_build = AllocCount();
+  EmbeddingCacheSim cache(Bytes{4} << 20);
+  EXPECT_EQ(AllocCount(), before_build) << "the constructor allocated";
+  ZipfSampler zipf(1u << 20, 0.95);
+  Rng rng(3);
+  while (cache.stats().evictions == 0) cache.Access(0, zipf.Sample(rng), 64);
+
+  const std::uint64_t misses = cache.stats().misses;
+  const std::uint64_t before = AllocCount();
+  for (int i = 0; i < 100'000; ++i) cache.Access(0, zipf.Sample(rng), 64);
+  EXPECT_EQ(AllocCount(), before) << "a full cache allocated";
+  EXPECT_GT(cache.stats().misses - misses, 10'000u);  // it kept evicting
 }
 
 }  // namespace

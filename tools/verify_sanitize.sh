@@ -33,9 +33,9 @@
 # Pass '.' as the regex to run the full suite under sanitizers (slower).
 # ThreadSanitizer cannot share a build with ASan, so it gets its own tree
 # and the suites that run work on pool threads (ZipfTest races threads on
-# the harmonic-sum memo):
+# the harmonic-sum memo; ChaosSweep serves its fleets on pool workers):
 #   MICROREC_SANITIZE=thread tools/verify_sanitize.sh build-tsan \
-#     'ThreadPool|ParallelRunner|ParallelDeterminism|MergeSnapshots|CpuEngine|ZeroAlloc|ZipfTest'
+#     'ThreadPool|ParallelRunner|ParallelDeterminism|MergeSnapshots|CpuEngine|ZeroAlloc|ZipfTest|ChaosSweep'
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
