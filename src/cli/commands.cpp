@@ -1,10 +1,12 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -122,11 +124,19 @@ Status CmdModelGen(const ArgList& args, std::ostream& out) {
     auto veclen = args.GetUint("veclen", 32);
     if (!tables.ok()) return tables.status();
     if (!veclen.ok()) return veclen.status();
+    for (const auto& [flag, value] :
+         {std::pair{"--tables", *tables}, std::pair{"--veclen", *veclen}}) {
+      if (value == 0 || value > std::numeric_limits<std::uint32_t>::max()) {
+        return Status::InvalidArgument(std::string(flag) +
+                                       " must be in [1, 4294967295]");
+      }
+    }
     model = DlrmRmc2Model(static_cast<std::uint32_t>(*tables),
                           static_cast<std::uint32_t>(*veclen));
   } else {
     return Status::InvalidArgument("unknown model kind '" + kind + "'");
   }
+  MICROREC_RETURN_IF_ERROR(model.Validate());
   return WriteFileOrStream(args, SerializeModel(model), out);
 }
 
@@ -656,9 +666,15 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
         const auto arrivals = PoissonArrivals(
             point.target_qps, sweep->queries,
             exec::ParallelRunner::SubSeed(sweep->seed, point.qps_index));
-        // The fleet is one pipeline pool with a replica per card.
+        // The fleet is one pipeline pool with a replica per card, but at
+        // most one per query: least-loaded dispatch sends each query to an
+        // unused replica while one exists, so cards past the query count
+        // change no completion time (and a plan past 2^32 cards would
+        // otherwise wrap the replica count).
         sched::PipelineBackendConfig pool;
-        pool.replicas = static_cast<std::uint32_t>(point.devices);
+        pool.replicas = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            {point.devices, sweep->queries,
+             std::numeric_limits<std::uint32_t>::max()}));
         pool.item_latency_ns = engine->ItemLatency();
         pool.initiation_interval_ns = engine->timing().initiation_interval_ns;
         return sched::ServeOnBackend(

@@ -82,6 +82,4 @@ void Rng::DiscardGaussians(std::uint64_t n) {
   }
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace microrec

@@ -81,10 +81,6 @@ class Rng {
   /// evaluated.
   void DiscardGaussians(std::uint64_t n);
 
-  /// Returns a child generator with a seed derived from this one's stream;
-  /// used to give each table / worker an independent stream.
-  Rng Fork();
-
  private:
   std::uint64_t state_[4];
   bool has_spare_gaussian_ = false;

@@ -143,42 +143,4 @@ void EmbeddingCacheSim::Clear() {
   stats_.bytes_cached = 0;
 }
 
-// ---------------------------------------------------------- PackedRowCache
-
-PackedRowCache::PackedRowCache(std::uint32_t dim, std::uint64_t capacity_rows)
-    : dim_(dim), capacity_rows_(capacity_rows) {
-  MICROREC_CHECK(dim >= 1 && capacity_rows >= 1);
-  arena_.Resize(capacity_rows, dim);
-  slot_of_.reserve(capacity_rows);
-}
-
-std::optional<std::uint64_t> PackedRowCache::Pin(std::uint64_t row,
-                                                 std::span<const float> vec) {
-  MICROREC_CHECK(vec.size() == dim_);
-  const auto it = slot_of_.find(row);
-  std::uint64_t slot;
-  if (it != slot_of_.end()) {
-    slot = it->second;
-  } else {
-    if (pinned_ == capacity_rows_) return std::nullopt;
-    slot = pinned_++;
-    slot_of_.emplace(row, slot);
-  }
-  const std::span<float> dst = arena_.row(slot);
-  for (std::uint32_t d = 0; d < dim_; ++d) dst[d] = vec[d];
-  return slot;
-}
-
-std::optional<std::uint64_t> PackedRowCache::SlotOf(std::uint64_t row) const {
-  const auto it = slot_of_.find(row);
-  if (it == slot_of_.end()) return std::nullopt;
-  return it->second;
-}
-
-PackedTableView PackedRowCache::view() const {
-  PackedTableView v = arena_.view();
-  v.rows = pinned_;  // gather wraps modulo the *pinned* count
-  return v;
-}
-
 }  // namespace microrec

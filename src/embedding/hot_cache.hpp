@@ -11,13 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
-#include "tensor/packed_rows.hpp"
 
 namespace microrec {
 
@@ -89,43 +85,6 @@ class EmbeddingCacheSim {
   std::size_t live_ = 0;
   std::vector<std::uint32_t> index_;  ///< entry id per slot, kNone if empty
   EmbeddingCacheStats stats_;
-};
-
-/// Materialized hot-row store for one table, in the same packed row layout
-/// as EmbeddingTable (tensor/packed_rows.hpp): pinned rows live
-/// contiguously, dim-padded to 8 floats, so a cache-resident gather runs
-/// through the identical vectorized gather/sum-pool kernel as a
-/// table-resident one -- only the arena and the indices differ. Pinning is
-/// static (paper placement rule 4 pins whole hot tables on chip;
-/// EmbeddingCacheSim remains the *dynamic* LRU policy simulator): Pin()
-/// admits rows until the row budget is full and never evicts.
-class PackedRowCache {
- public:
-  PackedRowCache(std::uint32_t dim, std::uint64_t capacity_rows);
-
-  std::uint32_t dim() const { return dim_; }
-  std::uint64_t capacity_rows() const { return capacity_rows_; }
-  std::uint64_t pinned_rows() const { return pinned_; }
-
-  /// Copies `vec` (length dim) into the arena as (virtual) row `row`.
-  /// Returns the slot index, reusing the existing slot when `row` is
-  /// already pinned; nullopt when the cache is full.
-  std::optional<std::uint64_t> Pin(std::uint64_t row,
-                                   std::span<const float> vec);
-
-  /// Arena slot holding `row`, or nullopt on miss.
-  std::optional<std::uint64_t> SlotOf(std::uint64_t row) const;
-
-  /// Packed view over the pinned slots; gather with *slot* indices (from
-  /// SlotOf), exactly as a table gather uses row indices.
-  PackedTableView view() const;
-
- private:
-  std::uint32_t dim_;
-  std::uint64_t capacity_rows_;
-  std::uint64_t pinned_ = 0;
-  PackedRowBuffer arena_;                               // [capacity x dim]
-  std::unordered_map<std::uint64_t, std::uint64_t> slot_of_;  // row -> slot
 };
 
 }  // namespace microrec

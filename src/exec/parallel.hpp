@@ -13,17 +13,13 @@
 //   * randomized points derive their seed as SubSeed(base, index)
 //     (SplitMix64 seed hashing, the same scheme DeltaStream and the fault
 //     schedule already use per stream) -- never from a shared generator
-//     whose consumption order would depend on scheduling;
-//   * per-point obs::MetricsRegistry instances are snapshotted and merged
-//     in point order with obs::MergeSnapshots, whose counter adds and
-//     bucket-wise histogram merges are exact (integer adds), so the merged
-//     snapshot serializes byte-identically at any thread count.
+//     whose consumption order would depend on scheduling.
 //
 // With threads == 1 the runner degenerates to a plain in-order loop with no
-// pool and no snapshot detour beyond the same merge call --
-// that loop *is* the definition of the serial baseline the N-thread run
-// must reproduce, and tests/exec_test.cpp + bench_wallclock enforce the
-// equivalence end to end. See DESIGN.md section 11 for the contract.
+// pool -- that loop *is* the definition of the serial baseline the
+// N-thread run must reproduce, and tests/exec_test.cpp + bench_wallclock
+// enforce the equivalence end to end. See DESIGN.md section 11 for the
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "obs/metrics.hpp"
 
 namespace microrec::exec {
 
@@ -53,14 +48,6 @@ struct ExecConfig {
     config.threads = threads;
     return config;
   }
-};
-
-/// Results of a metrics-carrying run: per-point results in index order plus
-/// the point-ordered exact merge of every point's registry.
-template <typename R>
-struct ShardedRun {
-  std::vector<R> results;
-  obs::MetricsSnapshot metrics;
 };
 
 class ParallelRunner {
@@ -86,38 +73,6 @@ class ParallelRunner {
     std::vector<R> results(count);
     RunIndexed(count, [&](std::size_t i) { results[i] = fn(i); });
     return results;
-  }
-
-  /// Monte-Carlo replication: fn(rep, SubSeed(base_seed, rep)) for every
-  /// replication, results in replication order.
-  template <typename Fn>
-  auto Replicate(std::size_t replications, std::uint64_t base_seed, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, std::size_t, std::uint64_t>> {
-    return Map(replications, [&](std::size_t rep) {
-      return fn(rep, SubSeed(base_seed, rep));
-    });
-  }
-
-  /// Map where every point gets its own fresh MetricsRegistry; the
-  /// registries are snapshotted and merged in point order (exact counter /
-  /// histogram merge, last-writer-wins gauges -- see obs::MergeSnapshots).
-  template <typename Fn>
-  auto MapWithMetrics(std::size_t count, Fn&& fn)
-      -> ShardedRun<
-          std::invoke_result_t<Fn&, std::size_t, obs::MetricsRegistry&>> {
-    using R = std::invoke_result_t<Fn&, std::size_t, obs::MetricsRegistry&>;
-    static_assert(std::is_default_constructible_v<R>,
-                  "Map results are pre-sized; R needs a default ctor");
-    ShardedRun<R> run;
-    run.results.resize(count);
-    std::vector<obs::MetricsSnapshot> shards(count);
-    RunIndexed(count, [&](std::size_t i) {
-      obs::MetricsRegistry registry;
-      run.results[i] = fn(i, registry);
-      shards[i] = registry.Snapshot();
-    });
-    run.metrics = obs::MergeSnapshots(shards);
-    return run;
   }
 
  private:

@@ -69,14 +69,4 @@ Nanoseconds FailoverRouter::DegradedLookupLatency(
   return worst;
 }
 
-std::uint32_t FailoverRouter::LiveReplicas(std::size_t t,
-                                           Nanoseconds now) const {
-  MICROREC_CHECK(t < plan_->tables.size());
-  std::uint32_t live = 0;
-  for (std::uint32_t bank : plan_->tables[t].banks) {
-    if (schedule_ == nullptr || schedule_->BankAvailable(bank, now)) ++live;
-  }
-  return live;
-}
-
 }  // namespace microrec

@@ -51,9 +51,6 @@ class FailoverRouter {
                                     const MemoryPlatformSpec& platform,
                                     Nanoseconds now) const;
 
-  /// Live replicas of table index `t` at `now` (over primaries + spares).
-  std::uint32_t LiveReplicas(std::size_t t, Nanoseconds now) const;
-
   const ReplicationPlan& plan() const { return *plan_; }
 
  private:

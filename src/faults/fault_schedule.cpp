@@ -91,16 +91,6 @@ bool FaultSchedule::ReplicaAlive(std::uint32_t replica,
   return true;
 }
 
-Nanoseconds FaultSchedule::DmaStallEnd(Nanoseconds now) const {
-  Nanoseconds end = now;
-  for (const auto& e : events_) {
-    if (e.kind == FaultKind::kDmaStall && Covers(e, now)) {
-      end = std::max(end, e.end_ns);
-    }
-  }
-  return end;
-}
-
 Nanoseconds FaultSchedule::StallEnd(std::uint32_t target,
                                     Nanoseconds now) const {
   Nanoseconds end = now;

@@ -31,10 +31,10 @@ enum class FaultKind {
 
 const char* FaultKindName(FaultKind kind);
 
-/// One fault window. `target` is a flat bank index for channel events and a
-/// pipeline-replica index for crashes; it is ignored for DMA stalls (the
-/// card has one host link). `magnitude` is the latency multiplier of a
-/// degrade (>= 1.0) and unused otherwise.
+/// One fault window. `target` is a flat bank index for channel events, a
+/// pipeline-replica index for crashes and a backend index for DMA stalls.
+/// `magnitude` is the latency multiplier of a degrade (>= 1.0) and unused
+/// otherwise.
 struct FaultEvent {
   FaultKind kind = FaultKind::kChannelFail;
   Nanoseconds start_ns = 0.0;
@@ -70,15 +70,9 @@ class FaultSchedule {
   /// False while a kReplicaCrash window covers (replica, now).
   bool ReplicaAlive(std::uint32_t replica, Nanoseconds now) const;
 
-  /// End of the latest kDmaStall window covering `now`, or `now` itself
-  /// when the link is healthy (a valid LinkStallFn for host_interface).
-  /// Matches any target: the card has one host link.
-  Nanoseconds DmaStallEnd(Nanoseconds now) const;
-
-  /// Target-keyed stall variant for schedules that drive several stallable
-  /// units (the scheduler's per-backend fault models key kDmaStall windows
-  /// by backend index): end of the latest kDmaStall window with this
-  /// `target` covering `now`, or `now` itself when none does.
+  /// End of the latest kDmaStall window with this `target` covering `now`,
+  /// or `now` itself when none does. The scheduler's per-backend fault
+  /// models key kDmaStall windows by backend index.
   Nanoseconds StallEnd(std::uint32_t target, Nanoseconds now) const;
 
   /// Structural helper: the given banks fail at `from_ns` and never

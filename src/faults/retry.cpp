@@ -32,13 +32,4 @@ Nanoseconds RetryPolicy::BackoffAfterAttempt(std::uint32_t attempt) const {
   return std::min(raw, max_backoff_ns);
 }
 
-Nanoseconds RetryPolicy::WorstCaseGiveUp() const {
-  Nanoseconds total =
-      static_cast<double>(max_attempts) * attempt_timeout_ns;
-  for (std::uint32_t k = 1; k < max_attempts; ++k) {
-    total += BackoffAfterAttempt(k);
-  }
-  return total;
-}
-
 }  // namespace microrec

@@ -1,13 +1,10 @@
 // Deterministic timeout / exponential-backoff retry policy.
 //
-// One policy shape covers every retry loop in the repo: the host DMA
-// engine re-issuing a stalled transfer (fpga/host_interface) and the
-// fault-tolerant scheduler re-admitting a query to a surviving backend
-// (sched/ft_scheduler). Both need the same three knobs -- how long to
+// The fault-tolerant scheduler (sched/ft_scheduler) re-admits a query to a
+// surviving backend under this policy. It has three knobs: how long to
 // wait on one attempt, how long to sleep between attempts, and when to
-// give up -- so the math lives here once and the two state machines
-// cannot drift apart. No jitter: backoffs are a pure function of the
-// attempt number, so timing bounds are exactly testable.
+// give up. No jitter: backoffs are a pure function of the attempt number,
+// so timing bounds are exactly testable.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +27,6 @@ struct RetryPolicy {
 
   Status Validate() const;
   Nanoseconds BackoffAfterAttempt(std::uint32_t attempt) const;
-  /// Worst-case time from issue to giving up: max_attempts timeouts plus
-  /// the backoffs between them. Useful as an SLA budget check.
-  Nanoseconds WorstCaseGiveUp() const;
 };
 
 }  // namespace microrec

@@ -10,12 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "common/status.hpp"
 #include "common/units.hpp"
-#include "faults/retry.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace microrec {
@@ -57,54 +53,5 @@ HostTransferReport AnalyzeHostTransfer(const RecModelSpec& model,
                                        InputMode mode,
                                        const PcieLinkSpec& link = {},
                                        std::uint64_t coalesce = 256);
-
-// ---------------------------------------------------------------------------
-// Retry / timeout / exponential backoff for host DMA.
-//
-// A production host interface cannot assume the link is healthy: DMA
-// engines stall (driver resets, SR-IOV contention, link retraining) and
-// the host must time the attempt out, back off, and retry rather than hang
-// the serving thread. The timeout/backoff/give-up math is the shared
-// RetryPolicy (faults/retry.hpp) -- the same policy shape the scheduler
-// uses for query re-admission -- so DMA retries and query retries cannot
-// drift apart. The stall oracle is a plain function (a FaultSchedule's
-// DmaStallEnd binds directly).
-// ---------------------------------------------------------------------------
-
-/// Link-health oracle: returns the end of the stall window covering `now`,
-/// or `now` itself when the link is healthy at `now`.
-/// FaultSchedule::DmaStallEnd has exactly this shape.
-using LinkStallFn = std::function<Nanoseconds(Nanoseconds)>;
-
-/// One transfer's fate under retries.
-struct DmaTransferOutcome {
-  bool success = false;
-  std::uint32_t attempts = 0;
-  Nanoseconds issue_ns = 0.0;
-  Nanoseconds completion_ns = 0.0;  ///< success: data landed; else gave up
-  Nanoseconds backoff_total_ns = 0.0;
-
-  Nanoseconds latency_ns() const { return completion_ns - issue_ns; }
-};
-
-struct DmaRetryReport {
-  std::vector<DmaTransferOutcome> transfers;
-  std::uint64_t succeeded = 0;
-  std::uint64_t failed = 0;  ///< gave up after max_attempts
-  Nanoseconds healthy_latency_ns = 0.0;  ///< setup + wire, no faults
-  Nanoseconds added_latency_mean_ns = 0.0;  ///< successes only, vs healthy
-  Nanoseconds added_latency_max_ns = 0.0;
-};
-
-/// Runs each transfer (issued at the given times, `bytes_per_transfer`
-/// each) through the retry state machine. An attempt that starts inside a
-/// stall window waits for the window's end if that is within the attempt
-/// timeout; otherwise it times out, backs off per the policy, and retries.
-/// With a null/healthy stall oracle every transfer succeeds on attempt 1
-/// at exactly the healthy latency.
-StatusOr<DmaRetryReport> SimulateDmaWithRetries(
-    const PcieLinkSpec& link, Bytes bytes_per_transfer,
-    const std::vector<Nanoseconds>& issue_times, const RetryPolicy& policy,
-    const LinkStallFn& stall = nullptr);
 
 }  // namespace microrec

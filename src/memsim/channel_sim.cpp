@@ -58,18 +58,6 @@ MemCompletion ChannelSim::Serve(const MemRequest& request) {
   return done;
 }
 
-std::vector<MemCompletion> ChannelSim::ServeAll(
-    std::vector<MemRequest> requests) {
-  std::stable_sort(requests.begin(), requests.end(),
-                   [](const MemRequest& a, const MemRequest& b) {
-                     return a.arrival_ns < b.arrival_ns;
-                   });
-  std::vector<MemCompletion> out;
-  out.reserve(requests.size());
-  for (const auto& r : requests) out.push_back(Serve(r));
-  return out;
-}
-
 void ChannelSim::Reset() {
   free_at_ns_ = 0.0;
   last_arrival_ns_ = 0.0;

@@ -57,10 +57,6 @@ class ChannelSim {
   /// order.
   MemCompletion Serve(const MemRequest& request);
 
-  /// Serves a batch (sorted by arrival internally) and returns completions
-  /// in service order.
-  std::vector<MemCompletion> ServeAll(std::vector<MemRequest> requests);
-
   /// Forgets all state (time returns to 0); stats are reset too.
   void Reset();
 

@@ -228,21 +228,4 @@ StatusOr<EventLog> EventLog::FromJson(std::string_view text) {
   return log;
 }
 
-EventLog MergeEventLogs(const std::vector<EventLog>& shards) {
-  std::size_t capacity = 0;
-  for (const EventLog& shard : shards) capacity += shard.capacity();
-  EventLog merged(capacity == 0 ? 1 : capacity);
-  for (const EventLog& shard : shards) {
-    if (merged.backend_names_.empty() && !shard.backend_names().empty()) {
-      merged.backend_names_ = shard.backend_names();
-    }
-    for (const SchedEvent& e : shard.events()) merged.Append(e);
-    // Evictions the shard already paid stay paid; the merge itself never
-    // evicts (capacity is the shards' sum).
-    merged.dropped_ += shard.dropped();
-    merged.appended_ += shard.dropped();
-  }
-  return merged;
-}
-
 }  // namespace microrec::obs

@@ -13,10 +13,7 @@
 //
 // The ring is bounded: Append past capacity evicts the oldest-appended
 // event and counts it in dropped(), so a recorder can ride along any run
-// length with fixed memory. Logs from exec::ParallelRunner shards merge
-// exactly (MergeEventLogs, shard order) -- the event-stream counterpart
-// of obs::MergeSnapshots -- and serialize deterministically, so an
-// N-thread recorded sweep is byte-identical to serial.
+// length with fixed memory.
 //
 // obs/explain.hpp consumes a log: per-query causal timelines, ranked
 // worst offenders, and SLO-alert-triggered postmortem snapshots.
@@ -142,8 +139,6 @@ class EventLog {
   static StatusOr<EventLog> FromJson(std::string_view text);
 
  private:
-  friend EventLog MergeEventLogs(const std::vector<EventLog>& shards);
-
   std::size_t capacity_ = kDefaultCapacity;
   std::deque<SchedEvent> events_;
   std::uint64_t next_seq_ = 0;
@@ -156,13 +151,5 @@ class EventLog {
 /// -- the shared event schema of EventLog::ToJson and the postmortem
 /// snapshots in obs/explain.hpp.
 void WriteSchedEventJson(JsonWriter& w, const SchedEvent& e);
-
-/// Exact shard-ordered reduction, the event-log counterpart of
-/// obs::MergeSnapshots: the merged log holds every shard's events in
-/// shard order with sequence numbers reassigned globally -- exactly what
-/// appending shard 0's events, then shard 1's, ... to one log would
-/// produce -- and capacity equal to the shards' sum, so the merge itself
-/// never evicts. Backend names come from the first shard that has any.
-EventLog MergeEventLogs(const std::vector<EventLog>& shards);
 
 }  // namespace microrec::obs

@@ -114,17 +114,6 @@ double Histogram::Quantile(double q) const {
   return max_;
 }
 
-void Histogram::SubtractBaseline(const Histogram& earlier) {
-  MICROREC_CHECK(opts_ == earlier.opts_);
-  MICROREC_CHECK(count_ >= earlier.count_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    MICROREC_CHECK(buckets_[i] >= earlier.buckets_[i]);
-    buckets_[i] -= earlier.buckets_[i];
-  }
-  count_ -= earlier.count_;
-  sum_ -= earlier.sum_;
-}
-
 void Histogram::Merge(const Histogram& other) {
   MICROREC_CHECK(opts_ == other.opts_);
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
@@ -198,82 +187,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   snap.help = help_;
   return snap;
-}
-
-// ------------------------------------------------------- Snapshot algebra
-
-MetricsSnapshot DiffSnapshots(const MetricsSnapshot& later,
-                              const MetricsSnapshot& earlier) {
-  MetricsSnapshot diff;
-
-  std::map<std::string, std::uint64_t> counter_base;
-  for (const auto& c : earlier.counters) {
-    counter_base[FormatMetricName(c.name, c.labels)] = c.value;
-  }
-  for (const auto& c : later.counters) {
-    auto it = counter_base.find(FormatMetricName(c.name, c.labels));
-    const std::uint64_t base = it == counter_base.end() ? 0 : it->second;
-    MICROREC_CHECK(c.value >= base);  // counters are monotonic
-    diff.counters.push_back({c.name, c.labels, c.value - base});
-  }
-
-  diff.gauges = later.gauges;  // gauges have no meaningful delta
-
-  diff.help = later.help;
-  diff.help.insert(earlier.help.begin(), earlier.help.end());
-
-  std::map<std::string, const Histogram*> hist_base;
-  for (const auto& h : earlier.histograms) {
-    hist_base[FormatMetricName(h.name, h.labels)] = &h.histogram;
-  }
-  for (const auto& h : later.histograms) {
-    auto entry =
-        MetricsSnapshot::HistogramValue{h.name, h.labels, h.histogram};
-    auto it = hist_base.find(FormatMetricName(h.name, h.labels));
-    if (it != hist_base.end()) entry.histogram.SubtractBaseline(*it->second);
-    diff.histograms.push_back(std::move(entry));
-  }
-  return diff;
-}
-
-MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& shards) {
-  // std::map keys on the formatted name, so the merged snapshot comes out
-  // in the same sorted order MetricsRegistry::Snapshot produces.
-  std::map<std::string, MetricsSnapshot::CounterValue> counters;
-  std::map<std::string, MetricsSnapshot::GaugeValue> gauges;
-  std::map<std::string, MetricsSnapshot::HistogramValue> histograms;
-
-  for (const MetricsSnapshot& shard : shards) {
-    for (const auto& c : shard.counters) {
-      auto [it, inserted] =
-          counters.emplace(FormatMetricName(c.name, c.labels), c);
-      if (!inserted) it->second.value += c.value;
-    }
-    for (const auto& g : shard.gauges) {
-      // Last writer wins in shard order (sequential Set semantics).
-      gauges.insert_or_assign(FormatMetricName(g.name, g.labels), g);
-    }
-    for (const auto& h : shard.histograms) {
-      auto [it, inserted] =
-          histograms.emplace(FormatMetricName(h.name, h.labels), h);
-      if (!inserted) it->second.histogram.Merge(h.histogram);
-    }
-  }
-
-  MetricsSnapshot merged;
-  for (const MetricsSnapshot& shard : shards) {
-    // First shard to document a family wins, matching sequential SetHelp.
-    merged.help.insert(shard.help.begin(), shard.help.end());
-  }
-  merged.counters.reserve(counters.size());
-  for (auto& [key, c] : counters) merged.counters.push_back(std::move(c));
-  merged.gauges.reserve(gauges.size());
-  for (auto& [key, g] : gauges) merged.gauges.push_back(std::move(g));
-  merged.histograms.reserve(histograms.size());
-  for (auto& [key, h] : histograms) {
-    merged.histograms.push_back(std::move(h));
-  }
-  return merged;
 }
 
 std::string MetricsSnapshot::ToJson() const {

@@ -1,11 +1,11 @@
 // Metrics registry for the simulation stack: named counters, gauges, and
-// fixed-log-bucket histograms with labels, snapshot/diff, merge, and two
-// exporters (structured JSON and Prometheus text format).
+// fixed-log-bucket histograms with labels, snapshots, and two exporters
+// (structured JSON and Prometheus text format).
 //
 // Unlike the store-all PercentileTracker (common/stats.hpp), a Histogram
 // holds a fixed number of geometric buckets, so memory is bounded no matter
 // how many samples stream through, and two histograms from different runs
-// or shards merge exactly (bucket-wise addition). The price is bounded
+// merge exactly (bucket-wise addition). The price is bounded
 // relative quantile error: a quantile estimate is off by at most one bucket
 // width, i.e. a factor of `growth` (tested in obs_test).
 //
@@ -105,11 +105,6 @@ class Histogram {
   /// Bucket-wise addition; both histograms must share options.
   void Merge(const Histogram& other);
 
-  /// Bucket-wise subtraction of an earlier snapshot of the same histogram
-  /// (counts must be monotone); min/max keep this (later) run's extremes,
-  /// since the interval's true extremes are not recoverable from endpoints.
-  void SubtractBaseline(const Histogram& earlier);
-
  private:
   HistogramOptions opts_;
   double inv_log_growth_ = 0.0;
@@ -121,7 +116,7 @@ class Histogram {
 };
 
 /// Point-in-time copy of every metric, detached from the registry: the unit
-/// of export, diff, and merge.
+/// of export.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;
@@ -153,23 +148,6 @@ struct MetricsSnapshot {
   /// counters, histograms as cumulative `_bucket{le=...}` series).
   std::string ToPrometheus() const;
 };
-
-/// `later - earlier`: counters and histogram buckets subtract (a metric
-/// absent from `earlier` counts from zero), gauges keep the later value.
-/// The diff of two snapshots of one run brackets an interval, which is how
-/// the CLI reports per-phase deltas.
-MetricsSnapshot DiffSnapshots(const MetricsSnapshot& later,
-                              const MetricsSnapshot& earlier);
-
-/// Exact shard-ordered reduction of per-shard snapshots (the parallel
-/// counterpart of running every shard against one registry sequentially):
-/// counters add, histograms merge bucket-wise (exact; options must match),
-/// and gauges are last-writer-wins in shard order -- shard i+1's value
-/// replaces shard i's, exactly as sequential Set calls would. Metrics are
-/// emitted sorted by formatted name, matching MetricsRegistry::Snapshot
-/// order, so a merged snapshot serializes byte-identically regardless of
-/// how many threads produced the shards.
-MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& shards);
 
 class MetricsRegistry {
  public:

@@ -39,33 +39,6 @@ TrackKind SpanTracer::track_kind(TrackId track) const {
   return track < track_kinds_.size() ? track_kinds_[track] : TrackKind::kOther;
 }
 
-std::uint64_t SpanTracer::BeginSpan(TrackId track, std::string name,
-                                    Nanoseconds start_ns) {
-  if (stacks_.size() <= track) stacks_.resize(track + 1);
-  const std::uint64_t handle = next_handle_++;
-  stacks_[track].push_back(OpenSpan{handle, std::move(name), start_ns});
-  return handle;
-}
-
-void SpanTracer::EndSpan(TrackId track, std::uint64_t span,
-                         Nanoseconds end_ns) {
-  MICROREC_CHECK(track < stacks_.size() && !stacks_[track].empty());
-  OpenSpan open = std::move(stacks_[track].back());
-  // LIFO discipline: ending a span that is not the innermost open span on
-  // its track means the instrumentation produced overlapping siblings.
-  MICROREC_CHECK(open.handle == span);
-  MICROREC_CHECK(end_ns >= open.start_ns);
-  stacks_[track].pop_back();
-
-  Event e;
-  e.phase = 'X';
-  e.track = track;
-  e.name = std::move(open.name);
-  e.ts_ns = open.start_ns;
-  e.dur_ns = end_ns - open.start_ns;
-  events_.push_back(std::move(e));
-}
-
 void SpanTracer::CompleteSpan(TrackId track, std::string name,
                               Nanoseconds start_ns, Nanoseconds end_ns,
                               std::uint64_t query) {
@@ -95,21 +68,6 @@ void SpanTracer::AsyncSpan(std::string name, std::uint64_t id,
   end.ts_ns = end_ns;
   end.id = id;
   events_.push_back(std::move(end));
-}
-
-void SpanTracer::Instant(TrackId track, std::string name, Nanoseconds ts_ns) {
-  Event e;
-  e.phase = 'i';
-  e.track = track;
-  e.name = std::move(name);
-  e.ts_ns = ts_ns;
-  events_.push_back(std::move(e));
-}
-
-std::size_t SpanTracer::open_spans() const {
-  std::size_t open = 0;
-  for (const auto& stack : stacks_) open += stack.size();
-  return open;
 }
 
 std::vector<SpanTracer::SpanView> SpanTracer::CompleteSpans() const {
@@ -196,15 +154,6 @@ void SpanTracer::WriteChromeJson(std::ostream& out) const {
         w.KV("id", id.str());
         break;
       }
-      case 'i':
-        w.KV("name", e.name);
-        w.KV("cat", "sim");
-        w.KV("ph", "i");
-        w.KV("ts", e.ts_ns / 1000.0);
-        w.KV("pid", 1);
-        w.KV("tid", e.track);
-        w.KV("s", "t");  // thread-scoped instant
-        break;
     }
     w.EndObject();
   }

@@ -7,10 +7,9 @@
 // embedding round by round, bank access by bank access.
 //
 // Track model: a track (Chrome "tid") is any serialized resource -- one per
-// pipeline stage, one per memory bank -- so spans on a track never overlap
-// and nest properly (Begin/End enforce LIFO per track; violations abort).
-// Cross-track per-query context uses async spans ("b"/"e" events keyed by
-// query id), which Perfetto renders as a separate async lane.
+// pipeline stage, one per memory bank -- so complete spans on a track never
+// overlap. Cross-track per-query context uses async spans ("b"/"e" events
+// keyed by query id), which Perfetto renders as a separate async lane.
 //
 // Overhead contract: instrumentation sites hold a `SpanTracer*` that is
 // nullptr when tracing is off, and every emit funnels through an inline
@@ -72,15 +71,8 @@ class SpanTracer {
   void SetTrackKind(TrackId track, TrackKind kind);
   TrackKind track_kind(TrackId track) const;
 
-  /// Opens a span on `track`; spans on one track must close LIFO.
-  /// Returns a handle for EndSpan.
-  std::uint64_t BeginSpan(TrackId track, std::string name,
-                          Nanoseconds start_ns);
-  void EndSpan(TrackId track, std::uint64_t span, Nanoseconds end_ns);
-
-  /// One-shot closed span (a leaf: no children will be added). Spans
-  /// tagged with a query index feed critical-path attribution and show up
-  /// in the viewer as args.query.
+  /// One closed span on `track`. Spans tagged with a query index feed
+  /// critical-path attribution and show up in the viewer as args.query.
   void CompleteSpan(TrackId track, std::string name, Nanoseconds start_ns,
                     Nanoseconds end_ns, std::uint64_t query = kNoQuery);
 
@@ -89,12 +81,7 @@ class SpanTracer {
   void AsyncSpan(std::string name, std::uint64_t id, Nanoseconds start_ns,
                  Nanoseconds end_ns);
 
-  /// Zero-duration marker.
-  void Instant(TrackId track, std::string name, Nanoseconds ts_ns);
-
   std::size_t num_events() const { return events_.size(); }
-  /// Spans begun but not yet ended (0 for a well-formed finished trace).
-  std::size_t open_spans() const;
 
   /// Read-only view of one recorded complete ('X') span. The name view
   /// borrows from the tracer; it stays valid until more events are added.
@@ -124,7 +111,7 @@ class SpanTracer {
 
  private:
   struct Event {
-    char phase = 'X';  // X = complete, i/b/e, M = metadata
+    char phase = 'X';  // X = complete, b/e = async, M = metadata
     TrackId track = 0;
     std::string name;
     Nanoseconds ts_ns = 0.0;
@@ -132,18 +119,10 @@ class SpanTracer {
     std::uint64_t id = 0;  // async span id
     std::uint64_t query = kNoQuery;
   };
-  struct OpenSpan {
-    std::uint64_t handle = 0;
-    std::string name;
-    Nanoseconds start_ns = 0.0;
-  };
-
   TracerOptions opts_;
   std::vector<Event> events_;
-  std::vector<std::vector<OpenSpan>> stacks_;  // indexed by track
-  std::vector<TrackKind> track_kinds_;         // indexed by track
-  std::vector<std::string> track_names_;       // indexed by track
-  std::uint64_t next_handle_ = 1;
+  std::vector<TrackKind> track_kinds_;    // indexed by track
+  std::vector<std::string> track_names_;  // indexed by track
 };
 
 /// The bundle instrumentation points carry: any member may be null, and

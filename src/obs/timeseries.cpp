@@ -59,74 +59,20 @@ void TimeSeries::AdvanceTo(std::uint64_t bucket) {
   }
 }
 
-void TimeSeries::Accumulate(std::uint64_t bucket, double value,
-                            std::uint64_t samples) {
+void TimeSeries::Observe(Nanoseconds t_ns, double value) {
+  MICROREC_CHECK(t_ns >= 0.0);
+  const auto bucket = static_cast<std::uint64_t>(t_ns / opts_.bucket_ns);
   AdvanceTo(bucket);
   if (bucket < base_bucket_) {
-    dropped_samples_ += samples;
+    ++dropped_samples_;
     return;
   }
-  num_samples_ += samples;
+  ++num_samples_;
   double& slot = ring_[bucket % opts_.num_buckets];
   if (kind_ == SeriesKind::kSum) {
     slot += value;
   } else {
     slot = std::max(slot, value);
-  }
-}
-
-void TimeSeries::Observe(Nanoseconds t_ns, double value) {
-  MICROREC_CHECK(t_ns >= 0.0);
-  Accumulate(static_cast<std::uint64_t>(t_ns / opts_.bucket_ns), value, 1);
-}
-
-void TimeSeries::Merge(const TimeSeries& other) {
-  MICROREC_CHECK(kind_ == other.kind_);
-  MICROREC_CHECK(opts_ == other.opts_);
-  if (!other.any_) return;
-  num_samples_ += other.num_samples_;
-  dropped_samples_ += other.dropped_samples_;
-  if (!any_) {
-    // Wholesale copy of the other window.
-    any_ = true;
-    base_bucket_ = other.base_bucket_;
-    max_bucket_ = other.max_bucket_;
-    for (std::uint64_t b = base_bucket_; b <= max_bucket_; ++b) {
-      ring_[b % opts_.num_buckets] = other.ring_[b % opts_.num_buckets];
-    }
-    return;
-  }
-  // Union window: extend forward to the other's newest bucket, then back
-  // toward its oldest as far as the ring allows. Slots pulled back into the
-  // window may hold stale evicted values, so they reset first.
-  AdvanceTo(other.max_bucket_);
-  if (other.base_bucket_ < base_bucket_) {
-    const std::uint64_t lowest =
-        max_bucket_ >= opts_.num_buckets - 1
-            ? max_bucket_ - opts_.num_buckets + 1
-            : 0;
-    const std::uint64_t new_base = std::max(other.base_bucket_, lowest);
-    for (std::uint64_t b = new_base; b < base_bucket_; ++b) {
-      ring_[b % opts_.num_buckets] = 0.0;
-    }
-    base_bucket_ = new_base;
-  }
-  // Bucket-wise reduction; both kinds are commutative and associative, so a
-  // shard-ordered merge matches a sequential run whenever the union fits
-  // the ring. Contributions older than the merged window count as dropped,
-  // never silently lost.
-  for (std::uint64_t b = other.base_bucket_; b <= other.max_bucket_; ++b) {
-    if (b < base_bucket_) {
-      ++dropped_samples_;
-      continue;
-    }
-    const double v = other.ring_[b % opts_.num_buckets];
-    double& slot = ring_[b % opts_.num_buckets];
-    if (kind_ == SeriesKind::kSum) {
-      slot += v;
-    } else {
-      slot = std::max(slot, v);
-    }
   }
 }
 
@@ -147,14 +93,6 @@ TimeSeries& TimeSeriesRecorder::series(const std::string& name,
     it = series_.emplace(key, std::move(entry)).first;
   }
   return *it->second.series;
-}
-
-void TimeSeriesRecorder::MergeFrom(const TimeSeriesRecorder& other) {
-  for (const auto& [key, entry] : other.series_) {
-    TimeSeries& mine = series(entry.name, entry.labels, entry.series->kind(),
-                              entry.series->options());
-    mine.Merge(*entry.series);
-  }
 }
 
 void TimeSeriesRecorder::WriteJson(std::ostream& out) const {

@@ -4,14 +4,10 @@
 // timelines bucketed on the simulator's virtual clock.
 //
 // Design mirrors Histogram: a bounded ring of buckets (memory is fixed no
-// matter how long the run), O(1) Observe, and an exact Merge so per-shard
-// recorders from the parallel experiment engine reduce to the same bytes a
-// sequential run would produce. Two bucket kinds cover the two timeline
-// shapes we need:
-//   * kSum  -- additive occupancy (busy-ns per bucket); merge adds.
-//   * kMax  -- high-water marks (queue backlog per bucket); merge maxes.
-// Both operations are commutative and associative over the overlapping
-// window, so a shard-ordered merge is deterministic at any thread count.
+// matter how long the run) and O(1) Observe. Two bucket kinds cover the two
+// timeline shapes we need:
+//   * kSum  -- additive occupancy (busy-ns per bucket);
+//   * kMax  -- high-water marks (queue backlog per bucket).
 //
 // Same observation-only contract as the rest of obs/: instrumentation
 // sites hold a `TimeSeriesRecorder*` that is nullptr when disabled, and
@@ -45,8 +41,6 @@ struct TimeSeriesOptions {
   /// Ring capacity: the series keeps the most recent `num_buckets` buckets
   /// and counts anything older into dropped_samples().
   std::size_t num_buckets = 1024;
-
-  bool operator==(const TimeSeriesOptions&) const = default;
 };
 
 /// One named timeline. Buckets are indexed by floor(t / bucket_ns); the
@@ -71,14 +65,8 @@ class TimeSeries {
   /// Value of absolute bucket `b` (0.0 outside the window).
   double BucketValue(std::uint64_t b) const;
 
-  /// Exact shard-ordered reduction: kSum adds, kMax maxes, bucket-wise over
-  /// the union window (clamped to the ring capacity; out-of-window buckets
-  /// count as dropped). Options and kind must match.
-  void Merge(const TimeSeries& other);
-
  private:
   void AdvanceTo(std::uint64_t bucket);
-  void Accumulate(std::uint64_t bucket, double value, std::uint64_t samples);
 
   SeriesKind kind_;
   TimeSeriesOptions opts_;
@@ -92,8 +80,7 @@ class TimeSeries {
 
 /// Named collection of time series, find-or-create like MetricsRegistry.
 /// Series identity is FormatMetricName(name, labels); iteration and export
-/// are sorted by that key, so a merged recorder serializes byte-identically
-/// regardless of how many shards produced it.
+/// are sorted by that key, so the export is deterministic.
 class TimeSeriesRecorder {
  public:
   /// `default_opts` is used by series() calls that do not pass options, so
@@ -116,10 +103,6 @@ class TimeSeriesRecorder {
                      SeriesKind kind, const TimeSeriesOptions& opts);
 
   std::size_t size() const { return series_.size(); }
-
-  /// Shard-ordered reduction of another recorder into this one (series
-  /// absent here are copied; present ones Merge).
-  void MergeFrom(const TimeSeriesRecorder& other);
 
   /// Structured export: one entry per series with bucket_ns, kind, window
   /// and the dense value array (leading window of zeros trimmed).

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/rng.hpp"
+#include "common/status.hpp"
 
 namespace microrec::sched {
 
@@ -20,16 +20,6 @@ const char* ArrivalProcessName(ArrivalProcess process) {
       return "diurnal";
   }
   return "unknown";
-}
-
-StatusOr<ArrivalProcess> ParseArrivalProcess(std::string_view name) {
-  if (name == "poisson") return ArrivalProcess::kPoisson;
-  if (name == "mmpp") return ArrivalProcess::kMmpp;
-  if (name == "flash-crowd") return ArrivalProcess::kFlashCrowd;
-  if (name == "diurnal") return ArrivalProcess::kDiurnal;
-  return Status::InvalidArgument("unknown arrival process '" +
-                                 std::string(name) +
-                                 "' (poisson|mmpp|flash-crowd|diurnal)");
 }
 
 namespace {

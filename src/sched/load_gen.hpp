@@ -13,10 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
-#include "common/status.hpp"
 #include "common/units.hpp"
 #include "sched/backend.hpp"
 
@@ -30,7 +28,6 @@ enum class ArrivalProcess {
 };
 
 const char* ArrivalProcessName(ArrivalProcess process);
-StatusOr<ArrivalProcess> ParseArrivalProcess(std::string_view name);
 
 /// Bimodal query-size mix: most queries score a small candidate set, a
 /// fraction re-rank a large one (the paper's batch dimension).

@@ -429,8 +429,6 @@ TEST(BackendFaultModelTest, StallEndIsTargetKeyed) {
   EXPECT_EQ(schedule.StallEnd(2, 150.0), 200.0);
   EXPECT_EQ(schedule.StallEnd(1, 150.0), 150.0);  // other unit: live
   EXPECT_EQ(schedule.StallEnd(2, 200.0), 200.0);  // closed-open window
-  // The any-target DMA variant still sees it (one host link).
-  EXPECT_EQ(schedule.DmaStallEnd(150.0), 200.0);
 }
 
 // ---- Fault-tolerant scheduler --------------------------------------------

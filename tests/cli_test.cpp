@@ -111,6 +111,28 @@ TEST_F(CliTest, ModelGenDlrmHonorsOptions) {
   EXPECT_NE(out.find("dlrm-rmc2-12t-64d"), std::string::npos);
 }
 
+TEST_F(CliTest, ModelGenDlrmRejectsOutOfRangeShapes) {
+  // Zero, or a count past 32 bits, must not reach DlrmRmc2Model; the last
+  // shape is in range per flag but its feature length overflows 32 bits,
+  // so `inspect` would reject the file.
+  const std::vector<std::vector<std::string>> bad_shapes = {
+      {"--tables", "0"},
+      {"--tables", "4294967296"},
+      {"--veclen", "0"},
+      {"--veclen", "4294967296"},
+      {"--tables", "2", "--veclen", "2147483648"},
+  };
+  for (const auto& shape : bad_shapes) {
+    const std::string model_path = Path("model.txt");
+    std::vector<std::string> tokens = {"modelgen", "dlrm", "--out", model_path};
+    tokens.insert(tokens.end(), shape.begin(), shape.end());
+    auto [status, out] = Run(tokens);
+    const std::string label = ::testing::PrintToString(shape);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_FALSE(fs::exists(model_path)) << label;
+  }
+}
+
 TEST_F(CliTest, ModelGenRejectsUnknownKind) {
   auto [status, out] = Run({"modelgen", "medium"});
   EXPECT_FALSE(status.ok());
@@ -439,6 +461,21 @@ TEST_F(CliTest, ScaleoutStdoutIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(s1.ok()) << s1.message();
   ASSERT_TRUE(s8.ok()) << s8.message();
   EXPECT_EQ(out1, out8);
+}
+
+TEST_F(CliTest, ScaleoutHugeTargetKeepsPlannedCardCount) {
+  // 2^64 - 1 q/s plans ~8.1e13 cards: the simulated pool must neither
+  // wrap that count into 32 bits nor allocate it, and the printed plan
+  // still reports every card.
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  auto [status, out] =
+      Run({"scaleout", model_path, "--points", "1", "--qps-min",
+           "18446744073709551615", "--qps-max", "18446744073709551615",
+           "--queries", "10"});
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(out.find(" 81088812490682  provisioned"), std::string::npos)
+      << out;
 }
 
 TEST_F(CliTest, ScaleoutRejectsBadQpsRange) {

@@ -214,14 +214,6 @@ TEST(RngTest, DiscardsMatchTheCallsTheyReplace) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(9);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (parent.Next() == child.Next());
-  EXPECT_LT(same, 3);
-}
-
 TEST(RngTest, HashSeedSeparatesStreams) {
   EXPECT_NE(HashSeed(1, 0), HashSeed(1, 1));
   EXPECT_NE(HashSeed(1, 0), HashSeed(2, 0));

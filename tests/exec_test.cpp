@@ -1,7 +1,7 @@
 // Tests for the deterministic parallel experiment engine (src/exec/):
-// index-ordered results, the SubSeed scheme, exact metric merging, and the
-// end-to-end contract that an N-thread run is bit-identical to 1 thread --
-// including a full update-aware serving sweep and its merged metrics JSON.
+// index-ordered results, the SubSeed scheme, and the end-to-end contract
+// that an N-thread run is bit-identical to 1 thread -- including a full
+// update-aware serving sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "core/microrec.hpp"
 #include "exec/parallel.hpp"
-#include "obs/metrics.hpp"
 #include "serving/serving_sim.hpp"
 #include "update/serving_update_sim.hpp"
 #include "workload/model_zoo.hpp"
@@ -59,33 +58,18 @@ TEST(ParallelRunnerTest, SubSeedMatchesHashSeedScheme) {
   EXPECT_NE(ParallelRunner::SubSeed(42, 0), ParallelRunner::SubSeed(43, 0));
 }
 
-TEST(ParallelRunnerTest, ReplicatePassesSubSeeds) {
-  ParallelRunner runner(ExecConfig::WithThreads(4));
-  const auto seeds = runner.Replicate(
-      16, /*base_seed=*/7,
-      [](std::size_t rep, std::uint64_t seed) -> std::uint64_t {
-        EXPECT_EQ(seed, ParallelRunner::SubSeed(7, rep));
-        return seed;
-      });
-  ASSERT_EQ(seeds.size(), 16u);
-  for (std::size_t rep = 0; rep < seeds.size(); ++rep) {
-    EXPECT_EQ(seeds[rep], HashSeed(7, rep));
-  }
-}
-
 TEST(ParallelRunnerTest, ReplicateIdenticalAcrossThreadCounts) {
   // A Monte-Carlo estimate (mean of an RNG stream per replication) must be
   // bit-identical at any thread count: each replication owns its sub-seeded
   // stream, and the reduction runs in replication order.
   auto run = [](std::size_t threads) {
     ParallelRunner runner(ExecConfig::WithThreads(threads));
-    const auto means = runner.Replicate(
-        32, /*base_seed=*/99, [](std::size_t, std::uint64_t seed) {
-          Rng rng(seed);
-          double sum = 0.0;
-          for (int i = 0; i < 1000; ++i) sum += rng.NextDouble();
-          return sum / 1000.0;
-        });
+    const auto means = runner.Map(32, [](std::size_t rep) {
+      Rng rng(ParallelRunner::SubSeed(/*base_seed=*/99, rep));
+      double sum = 0.0;
+      for (int i = 0; i < 1000; ++i) sum += rng.NextDouble();
+      return sum / 1000.0;
+    });
     double total = 0.0;
     for (double m : means) total += m;
     return total;
@@ -103,118 +87,6 @@ TEST(ParallelRunnerTest, WorkerExceptionPropagates) {
                             return 0;
                           }),
                std::runtime_error);
-}
-
-// ---------------------------------------------------------------- merge
-
-TEST(MergeSnapshotsTest, CountersAddAcrossShards) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("queries").Inc(3);
-  b.counter("queries").Inc(4);
-  b.counter("only_b").Inc(1);
-  const auto merged = obs::MergeSnapshots({a.Snapshot(), b.Snapshot()});
-  ASSERT_EQ(merged.counters.size(), 2u);
-  // Sorted by formatted name: only_b, queries.
-  EXPECT_EQ(merged.counters[0].name, "only_b");
-  EXPECT_EQ(merged.counters[0].value, 1u);
-  EXPECT_EQ(merged.counters[1].name, "queries");
-  EXPECT_EQ(merged.counters[1].value, 7u);
-}
-
-TEST(MergeSnapshotsTest, GaugesAreLastWriterWinsInShardOrder) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.gauge("depth").Set(5.0);
-  b.gauge("depth").Set(2.0);
-  const auto ab = obs::MergeSnapshots({a.Snapshot(), b.Snapshot()});
-  ASSERT_EQ(ab.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(ab.gauges[0].value, 2.0);
-  const auto ba = obs::MergeSnapshots({b.Snapshot(), a.Snapshot()});
-  EXPECT_DOUBLE_EQ(ba.gauges[0].value, 5.0);
-}
-
-TEST(MergeSnapshotsTest, HistogramsMergeBucketWise) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  obs::MetricsRegistry serial;
-  for (double x : {1.0, 5.0, 40.0}) {
-    a.histogram("lat").Observe(x);
-    serial.histogram("lat").Observe(x);
-  }
-  for (double x : {2.0, 300.0}) {
-    b.histogram("lat").Observe(x);
-    serial.histogram("lat").Observe(x);
-  }
-  const auto merged = obs::MergeSnapshots({a.Snapshot(), b.Snapshot()});
-  ASSERT_EQ(merged.histograms.size(), 1u);
-  const auto serial_snapshot = serial.Snapshot();
-  const obs::Histogram& h = merged.histograms[0].histogram;
-  const obs::Histogram& s = serial_snapshot.histograms[0].histogram;
-  EXPECT_EQ(h.count(), s.count());
-  EXPECT_DOUBLE_EQ(h.sum(), s.sum());
-  EXPECT_DOUBLE_EQ(h.min(), s.min());
-  EXPECT_DOUBLE_EQ(h.max(), s.max());
-  EXPECT_EQ(h.buckets(), s.buckets());
-}
-
-TEST(MergeSnapshotsTest, EmptyShardListYieldsEmptySnapshot) {
-  const auto merged = obs::MergeSnapshots({});
-  EXPECT_TRUE(merged.counters.empty());
-  EXPECT_TRUE(merged.gauges.empty());
-  EXPECT_TRUE(merged.histograms.empty());
-}
-
-TEST(MergeSnapshotsTest, MergeEqualsSequentialSingleRegistry) {
-  // The defining property: merging per-shard registries == running every
-  // shard against one registry in shard order, down to the serialized JSON.
-  obs::MetricsRegistry sequential;
-  std::vector<obs::MetricsSnapshot> shards;
-  for (std::uint64_t shard = 0; shard < 5; ++shard) {
-    obs::MetricsRegistry own;
-    for (obs::MetricsRegistry* r : {&own, &sequential}) {
-      r->counter("items").Inc(10 * (shard + 1));
-      r->gauge("last_shard").Set(static_cast<double>(shard));
-      auto& h = r->histogram("latency", {{"kind", "hbm"}});
-      Rng rng(HashSeed(5, shard));
-      for (int i = 0; i < 200; ++i) h.Observe(1.0 + 100.0 * rng.NextDouble());
-    }
-    shards.push_back(own.Snapshot());
-  }
-  const auto merged = obs::MergeSnapshots(shards);
-  EXPECT_EQ(merged.ToJson(), sequential.Snapshot().ToJson());
-  EXPECT_EQ(merged.ToPrometheus(), sequential.Snapshot().ToPrometheus());
-}
-
-TEST(ParallelRunnerTest, MapWithMetricsMergesPointRegistries) {
-  auto run = [](std::size_t threads) {
-    ParallelRunner runner(ExecConfig::WithThreads(threads));
-    return runner.MapWithMetrics(
-        12, [](std::size_t i, obs::MetricsRegistry& registry) {
-          registry.counter("points").Inc();
-          registry.counter("work").Inc(i);
-          registry.gauge("last_point").Set(static_cast<double>(i));
-          Rng rng(ParallelRunner::SubSeed(3, i));
-          auto& h = registry.histogram("sample");
-          for (int s = 0; s < 100; ++s) h.Observe(1.0 + rng.NextDouble());
-          return i * i;
-        });
-  };
-  const auto serial = run(1);
-  ASSERT_EQ(serial.results.size(), 12u);
-  EXPECT_EQ(serial.results[7], 49u);
-  // Counters aggregated over all points; gauge holds the last point's value.
-  ASSERT_EQ(serial.metrics.counters.size(), 2u);
-  EXPECT_EQ(serial.metrics.counters[0].name, "points");
-  EXPECT_EQ(serial.metrics.counters[0].value, 12u);
-  EXPECT_EQ(serial.metrics.counters[1].value, 66u);  // sum 0..11
-  ASSERT_EQ(serial.metrics.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(serial.metrics.gauges[0].value, 11.0);
-
-  const auto parallel = run(8);
-  EXPECT_EQ(parallel.results, serial.results);
-  // Byte-identical serialization at any thread count.
-  EXPECT_EQ(parallel.metrics.ToJson(), serial.metrics.ToJson());
 }
 
 // ------------------------------------------------------- end-to-end sweeps

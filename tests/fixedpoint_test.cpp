@@ -1,11 +1,8 @@
 // Unit + property tests for the fixed-point datapath types.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/rng.hpp"
 #include "fixedpoint/fixed_point.hpp"
-#include "fixedpoint/quantize.hpp"
 
 namespace microrec {
 namespace {
@@ -120,59 +117,6 @@ TEST(FixedPointTest, RoundingIsToNearest) {
   EXPECT_DOUBLE_EQ(Fixed16::FromDouble(0.49 * eps).ToDouble(), 0.0);
   EXPECT_DOUBLE_EQ(Fixed16::FromDouble(-0.5 * eps).ToDouble(), -eps);
 }
-
-// ---------------------------------------------------------------- Quantize
-
-TEST(QuantizeTest, RoundTripVector) {
-  Rng rng(20);
-  std::vector<float> values(256);
-  for (float& v : values) v = rng.NextFloat(-2.0f, 2.0f);
-  const auto q = Quantize<Fixed32>(values);
-  const auto back = Dequantize<Fixed32>(std::span<const Fixed32>(q));
-  ASSERT_EQ(back.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_NEAR(back[i], values[i], Fixed32::Epsilon());
-  }
-}
-
-TEST(QuantizeTest, ErrorBoundsRespectEpsilon) {
-  Rng rng(21);
-  std::vector<float> values(4096);
-  for (float& v : values) v = rng.NextFloat(-1.0f, 1.0f);
-  const auto err16 = MeasureQuantizationError<Fixed16>(values);
-  const auto err32 = MeasureQuantizationError<Fixed32>(values);
-  EXPECT_LE(err16.max_abs, Fixed16::Epsilon() / 2 + 1e-9);
-  EXPECT_LE(err32.max_abs, Fixed32::Epsilon() / 2 + 1e-12);
-  EXPECT_LT(err32.rmse, err16.rmse);
-  EXPECT_LE(err16.mean_abs, err16.max_abs);
-  EXPECT_LE(err16.rmse, err16.max_abs + 1e-12);
-}
-
-TEST(QuantizeTest, EmptyInput) {
-  const auto err = MeasureQuantizationError<Fixed16>(std::vector<float>{});
-  EXPECT_EQ(err.max_abs, 0.0);
-  EXPECT_TRUE(Quantize<Fixed16>(std::vector<float>{}).empty());
-}
-
-// Parameterized sweep: quantization error scales with the value range until
-// saturation dominates.
-class QuantizeRangeTest : public ::testing::TestWithParam<float> {};
-
-TEST_P(QuantizeRangeTest, MaxErrorBoundedWithinRange) {
-  const float range = GetParam();
-  Rng rng(22);
-  std::vector<float> values(1024);
-  for (float& v : values) v = rng.NextFloat(-range, range);
-  const auto err = MeasureQuantizationError<Fixed16>(values);
-  if (range <= 30.0f) {  // inside Q5.10 dynamic range
-    EXPECT_LE(err.max_abs, Fixed16::Epsilon() / 2 + 1e-6);
-  } else {  // saturation clips
-    EXPECT_GT(err.max_abs, 1.0);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranges, QuantizeRangeTest,
-                         ::testing::Values(0.1f, 1.0f, 10.0f, 30.0f, 100.0f));
 
 }  // namespace
 }  // namespace microrec

@@ -6,9 +6,7 @@
 
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
-#include "embedding/embedding_table.hpp"
 #include "embedding/hot_cache.hpp"
-#include "tensor/gather.hpp"
 
 namespace microrec {
 namespace {
@@ -221,78 +219,6 @@ TEST(HotCacheTest, MatchesListLruOracleCallForCall) {
       EXPECT_GT(cache.stats().hits, 1000u);
     }
   }
-}
-
-// ------------------------------------------------- PackedRowCache
-
-TEST(PackedRowCacheTest, PinAssignsSequentialSlotsUntilFull) {
-  PackedRowCache cache(/*dim=*/12, /*capacity_rows=*/3);
-  const std::vector<float> vec(12, 1.0f);
-  EXPECT_EQ(cache.Pin(100, vec), std::uint64_t{0});
-  EXPECT_EQ(cache.Pin(200, vec), std::uint64_t{1});
-  EXPECT_EQ(cache.Pin(300, vec), std::uint64_t{2});
-  EXPECT_EQ(cache.pinned_rows(), 3u);
-  EXPECT_EQ(cache.Pin(400, vec), std::nullopt);  // full, never evicts
-  EXPECT_EQ(cache.pinned_rows(), 3u);
-}
-
-TEST(PackedRowCacheTest, RepinningUpdatesInPlace) {
-  PackedRowCache cache(/*dim=*/4, /*capacity_rows=*/2);
-  std::vector<float> vec = {1.0f, 2.0f, 3.0f, 4.0f};
-  const auto slot = cache.Pin(7, vec);
-  ASSERT_TRUE(slot.has_value());
-  vec = {9.0f, 8.0f, 7.0f, 6.0f};
-  EXPECT_EQ(cache.Pin(7, vec), slot);  // same slot, new contents
-  EXPECT_EQ(cache.pinned_rows(), 1u);
-  const PackedTableView view = cache.view();
-  EXPECT_EQ(view.row(*slot)[0], 9.0f);
-  EXPECT_EQ(view.row(*slot)[3], 6.0f);
-}
-
-TEST(PackedRowCacheTest, SlotOfReportsMissForUnpinnedRows) {
-  PackedRowCache cache(/*dim=*/8, /*capacity_rows=*/4);
-  const std::vector<float> vec(8, 0.5f);
-  cache.Pin(42, vec);
-  EXPECT_TRUE(cache.SlotOf(42).has_value());
-  EXPECT_FALSE(cache.SlotOf(43).has_value());
-}
-
-TEST(PackedRowCacheTest, GatherThroughCacheMatchesGatherThroughTable) {
-  // The whole point of the packed cache: a gather over pinned *slots* runs
-  // through the identical kernel as a gather over table *rows* and yields
-  // bit-identical pooled output.
-  TableSpec spec;
-  spec.id = 0;
-  spec.name = "hot";
-  spec.rows = 64;
-  spec.dim = 20;  // not a multiple of 8: exercises padded tail lanes
-  const auto table = EmbeddingTable::Materialize(spec, /*seed=*/11);
-
-  const std::vector<std::uint64_t> rows = {3, 17, 3, 59, 40};
-  PackedRowCache cache(spec.dim, /*capacity_rows=*/8);
-  std::vector<std::uint64_t> slots;
-  for (const std::uint64_t row : rows) {
-    const auto slot = cache.Pin(row, table.Lookup(row));
-    ASSERT_TRUE(slot.has_value());
-    slots.push_back(*slot);
-  }
-  ASSERT_EQ(cache.pinned_rows(), 4u);  // row 3 pinned once, reused
-
-  std::vector<float> via_table(spec.dim);
-  std::vector<float> via_cache(spec.dim);
-  GatherSumPoolAuto(table.packed_view(), rows, via_table);
-  GatherSumPoolAuto(cache.view(), slots, via_cache);
-  EXPECT_EQ(via_table, via_cache);
-}
-
-TEST(PackedRowCacheTest, ViewUsesPaddedStride) {
-  PackedRowCache cache(/*dim=*/5, /*capacity_rows=*/2);
-  const std::vector<float> vec(5, 1.0f);
-  cache.Pin(0, vec);
-  cache.Pin(1, vec);
-  const PackedTableView view = cache.view();
-  EXPECT_EQ(view.stride, PackedRowStride(5));
-  EXPECT_EQ(view.row(1) - view.row(0), static_cast<std::ptrdiff_t>(view.stride));
 }
 
 }  // namespace

@@ -150,18 +150,6 @@ TEST(ChannelSimTest, ResetClearsTimeAndStats) {
   EXPECT_DOUBLE_EQ(done.start_ns, 0.0);
 }
 
-TEST(ChannelSimTest, ServeAllSortsByArrival) {
-  ChannelSim sim(ChannelTiming{100.0, 5.0, 32, {}});
-  std::vector<MemRequest> requests = {
-      {300.0, 16, 3}, {0.0, 16, 1}, {150.0, 16, 2}};
-  const auto done = sim.ServeAll(requests);
-  ASSERT_EQ(done.size(), 3u);
-  EXPECT_EQ(done[0].tag, 1u);
-  EXPECT_EQ(done[1].tag, 2u);
-  EXPECT_EQ(done[2].tag, 3u);
-  EXPECT_DOUBLE_EQ(done[2].completion_ns, 420.0);
-}
-
 // ---------------------------------------------------------------- Refresh
 
 TEST(ChannelRefreshTest, DisabledByDefault) {

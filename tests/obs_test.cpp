@@ -165,34 +165,6 @@ TEST(HistogramTest, MergeAddsBucketwise) {
   EXPECT_EQ(a.sum(), 100.0 * 101.0 / 2.0);
 }
 
-TEST(HistogramTest, SubtractBaselineIsolatesInterval) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.Observe(5.0);
-  Histogram earlier = h;  // snapshot
-  for (int i = 0; i < 50; ++i) h.Observe(7.0);
-  Histogram later = h;
-  later.SubtractBaseline(earlier);
-  EXPECT_EQ(later.count(), 50u);
-  EXPECT_EQ(later.sum(), 50.0 * 7.0);
-}
-
-TEST(MetricsSnapshotTest, DiffSubtractsCountersAndKeepsLaterGauges) {
-  MetricsRegistry registry;
-  obs::Counter& c = registry.counter("events_total");
-  obs::Gauge& g = registry.gauge("depth");
-  c.Inc(5);
-  g.Set(3.0);
-  const obs::MetricsSnapshot earlier = registry.Snapshot();
-  c.Inc(7);
-  g.Set(9.0);
-  const obs::MetricsSnapshot later = registry.Snapshot();
-  const obs::MetricsSnapshot diff = obs::DiffSnapshots(later, earlier);
-  ASSERT_EQ(diff.counters.size(), 1u);
-  EXPECT_EQ(diff.counters[0].value, 7u);
-  ASSERT_EQ(diff.gauges.size(), 1u);
-  EXPECT_EQ(diff.gauges[0].value, 9.0);
-}
-
 // ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
@@ -304,40 +276,16 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {
 // Span tracer
 // ---------------------------------------------------------------------------
 
-TEST(SpanTracerTest, NestedSpansCloseWellFormed) {
-  SpanTracer tracer;
-  tracer.SetTrackName(0, "stage0");
-  const auto outer = tracer.BeginSpan(0, "outer", 0.0);
-  const auto inner = tracer.BeginSpan(0, "inner", 10.0);
-  EXPECT_EQ(tracer.open_spans(), 2u);
-  tracer.EndSpan(0, inner, 20.0);
-  tracer.EndSpan(0, outer, 30.0);
-  EXPECT_EQ(tracer.open_spans(), 0u);
-  // One metadata event (track name) + two complete spans.
-  EXPECT_EQ(tracer.num_events(), 3u);
-}
-
-TEST(SpanTracerDeathTest, MisnestedEndAborts) {
-  SpanTracer tracer;
-  const auto outer = tracer.BeginSpan(0, "outer", 0.0);
-  tracer.BeginSpan(0, "inner", 10.0);
-  // Closing the outer span while the inner one is still open violates the
-  // per-track LIFO contract.
-  EXPECT_DEATH(tracer.EndSpan(0, outer, 20.0), "");
-}
-
 TEST(SpanTracerTest, ChromeJsonSchema) {
   SpanTracer tracer(TracerOptions{1, "unit-test"});
   tracer.SetTrackName(1, "memsim bank 0");
   tracer.CompleteSpan(1, "access", 100.0, 250.0);
   tracer.AsyncSpan("query", 17, 50.0, 400.0);
-  tracer.Instant(1, "marker", 300.0);
   const std::string json = tracer.ToChromeJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
@@ -411,7 +359,6 @@ TEST(TelemetryIdentityTest, SystemSimulatorResultsAreBitForBitIdentical) {
   EXPECT_FALSE(with.attribution.empty());
   EXPECT_GT(registry.size(), 0u);
   EXPECT_GT(tracer.num_events(), 0u);
-  EXPECT_EQ(tracer.open_spans(), 0u);
 }
 
 TEST(TelemetryIdentityTest, AttributionSumsToP99ItemLatency) {
@@ -540,45 +487,6 @@ TEST(TimeSeriesTest, RingDropsSamplesBehindTheWindow) {
   EXPECT_EQ(series.BucketValue(10), 0.0);
   EXPECT_EQ(series.BucketValue(100), 2.0);
   EXPECT_EQ(series.first_bucket(), 97u);
-}
-
-TEST(TimeSeriesTest, ShardedMergeEqualsSequentialObservation) {
-  // The merge algebra behind deterministic parallel sweeps: observing a
-  // stream sequentially and merging per-shard recorders must serialize to
-  // the same bytes, for both bucket kinds.
-  const obs::TimeSeriesOptions opts{50.0, 64};
-  obs::TimeSeriesRecorder sequential(opts);
-  obs::TimeSeriesRecorder shard_a(opts);
-  obs::TimeSeriesRecorder shard_b(opts);
-  for (int i = 0; i < 200; ++i) {
-    const double t = static_cast<double>(i) * 13.0;
-    const double v = std::fmod(static_cast<double>(i) * 7.0, 29.0);
-    sequential.series("busy", {{"bank", "0"}}).Observe(t, v);
-    sequential
-        .series("depth", {{"bank", "0"}}, obs::SeriesKind::kMax)
-        .Observe(t, v);
-    obs::TimeSeriesRecorder& shard = (i % 2 == 0) ? shard_a : shard_b;
-    shard.series("busy", {{"bank", "0"}}).Observe(t, v);
-    shard.series("depth", {{"bank", "0"}}, obs::SeriesKind::kMax)
-        .Observe(t, v);
-  }
-  shard_a.MergeFrom(shard_b);
-  EXPECT_EQ(shard_a.ToJson(), sequential.ToJson());
-}
-
-TEST(TimeSeriesTest, MergeIntoEmptyRecorderCopies) {
-  const obs::TimeSeriesOptions opts{10.0, 16};
-  obs::TimeSeriesRecorder full(opts);
-  full.series("busy").Observe(35.0, 2.0);
-  obs::TimeSeriesRecorder empty(opts);
-  empty.MergeFrom(full);
-  EXPECT_EQ(empty.ToJson(), full.ToJson());
-}
-
-TEST(TimeSeriesDeathTest, MergeRejectsMismatchedKind) {
-  obs::TimeSeries sum(obs::SeriesKind::kSum);
-  obs::TimeSeries max(obs::SeriesKind::kMax);
-  EXPECT_DEATH(sum.Merge(max), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -1078,29 +986,6 @@ TEST(EventLogTest, JsonRoundTripIsExact) {
   EXPECT_FALSE(obs::EventLog::FromJson("[]").ok());
 }
 
-TEST(EventLogTest, MergeEqualsSequentialAppend) {
-  obs::EventLog shard_a;
-  shard_a.set_backend_names({"fpga", "cpu"});
-  shard_a.Append(MakeEvent(obs::SchedEventKind::kAdmit, 10.0, 1));
-  shard_a.Append(MakeEvent(obs::SchedEventKind::kServe, 20.0, 1));
-  obs::EventLog shard_b;
-  shard_b.Append(MakeEvent(obs::SchedEventKind::kAdmit, 5.0, 2));
-
-  const obs::EventLog merged = obs::MergeEventLogs({shard_a, shard_b});
-  // The merge documents its capacity as the shards' sum (so it never
-  // evicts); mirror that so ToJson compares byte-for-byte.
-  obs::EventLog sequential(shard_a.capacity() + shard_b.capacity());
-  sequential.set_backend_names({"fpga", "cpu"});
-  for (const obs::EventLog* shard : {&shard_a, &shard_b}) {
-    for (const obs::SchedEvent& e : shard->events()) sequential.Append(e);
-  }
-  EXPECT_EQ(merged.ToJson(), sequential.ToJson());
-  EXPECT_EQ(merged.total_appended(),
-            shard_a.total_appended() + shard_b.total_appended());
-  EXPECT_EQ(merged.dropped(), 0u);
-  EXPECT_EQ(merged.backend_names(), shard_a.backend_names());
-}
-
 TEST(ExplainTest, TimelineReconstructsTerminalAndLatency) {
   const obs::EventLog log = RichLog();
   const obs::QueryTimeline t = obs::BuildQueryTimeline(log, 7);
@@ -1261,11 +1146,9 @@ TEST(ExporterTest, HelpPrecedesTypePrecedesSamples) {
     ++count;
   }
   EXPECT_EQ(count, 1u);
-  // Snapshots carry the help text through diff and merge.
+  // Snapshots carry the help text.
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.help.at("hits_total"), "accesses that hit");
-  const obs::MetricsSnapshot merged = obs::MergeSnapshots({snap, snap});
-  EXPECT_EQ(merged.help.at("hits_total"), "accesses that hit");
 }
 
 }  // namespace

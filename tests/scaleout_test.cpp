@@ -69,6 +69,30 @@ TEST(ReplicatedPipelinesTest, LatencyNonIncreasingInReplicas) {
   }
 }
 
+TEST(ReplicatedPipelinesTest, ReplicasPastQueryCountChangeNothing) {
+  // Least-loaded dispatch sends each query to an unused replica while one
+  // exists, so with a replica per query every query starts at its arrival
+  // and further replicas change no completion time. `microrec scaleout`
+  // simulates at most one replica per query on this basis.
+  const std::uint32_t queries = 400;
+  const auto arrivals = PoissonArrivals(5e6, queries, 13);
+  const ServingReport exact =
+      Replicated(arrivals, queries, 20'000.0, 3'300.0, Microseconds(100));
+  for (std::uint32_t replicas : {queries + 1, 4 * queries}) {
+    const ServingReport more =
+        Replicated(arrivals, replicas, 20'000.0, 3'300.0, Microseconds(100));
+    EXPECT_EQ(more.queries, exact.queries) << replicas;
+    EXPECT_EQ(more.offered_qps, exact.offered_qps) << replicas;
+    EXPECT_EQ(more.achieved_qps, exact.achieved_qps) << replicas;
+    EXPECT_EQ(more.p50, exact.p50) << replicas;
+    EXPECT_EQ(more.p95, exact.p95) << replicas;
+    EXPECT_EQ(more.p99, exact.p99) << replicas;
+    EXPECT_EQ(more.max, exact.max) << replicas;
+    EXPECT_EQ(more.mean, exact.mean) << replicas;
+    EXPECT_EQ(more.sla_violation_rate, exact.sla_violation_rate) << replicas;
+  }
+}
+
 TEST(ReplicatedPipelinesTest, UnloadedLatencyIsItemLatency) {
   std::vector<Nanoseconds> arrivals = {0.0, 1e9, 2e9};
   const auto report =

@@ -192,17 +192,6 @@ TEST(LoadGenTest, SizeMixDrawsBimodalWithoutShiftingArrivals) {
   }
 }
 
-TEST(LoadGenTest, ProcessNamesRoundTrip) {
-  for (auto process :
-       {ArrivalProcess::kPoisson, ArrivalProcess::kMmpp,
-        ArrivalProcess::kFlashCrowd, ArrivalProcess::kDiurnal}) {
-    const auto parsed = ParseArrivalProcess(ArrivalProcessName(process));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), process);
-  }
-  EXPECT_FALSE(ParseArrivalProcess("bursty").ok());
-}
-
 // ------------------------------------------------------------ SchedBackend
 
 TEST(SchedBackendTest, CostModelIsLinearInItemsAndLookups) {

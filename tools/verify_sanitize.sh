@@ -5,24 +5,23 @@
 # memory/concurrency bugs -- the update subsystem (its delta stream and the
 # RNG and Zipf sampler that stream replays and draws from), the hot cache, the
 # embedding/Cartesian layer, and the fault-schedule / failover / fault-sweep
-# machinery (shed-lookup bookkeeping, retry state machine, schedule
-# generation),
+# machinery (shed-lookup bookkeeping, retry policy, schedule generation),
 # plus the telemetry layer (metrics registry, histograms, span tracer,
 # identity gates) and its analysis layer (critical-path attribution, time
 # series, SLO burn rate, perf gate, JSON reader), the
 # concurrency-sensitive PercentileTracker/logging
 # paths, and the parallel experiment engine (thread pool, ParallelRunner,
-# snapshot merging, cross-thread determinism) with the memsim hot path it
+# cross-thread determinism) with the memsim hot path it
 # drives, and the multi-path scheduling subsystem (load generator, backend
 # adapters with their completion heaps, routing policies, the threaded
 # sweep grid), and the fault-tolerance stack on top of it (circuit
 # breakers, backend fault models, the event-loop scheduler's re-admission
 # bookkeeping, recovery metrics, the chaos sweep), and the flight
-# recorder on top of that (event ring + merge, timeline reconstruction,
+# recorder on top of that (event ring, timeline reconstruction,
 # postmortem snapshots, the recorder-attached identity gates), and the
 # vectorized CPU hot path (packed row layout, AVX2 gather/sum-pool vs
-# scalar, fused GEMM/GEMV epilogues, the packed hot-row cache, the
-# zero-allocation inference scratch, and the CpuEngine dispatch over them
+# scalar, fused GEMM/GEMV epilogues, the zero-allocation inference
+# scratch, and the CpuEngine dispatch over them
 # -- exactly the code where a lane off-by-one or a padded-tail overread
 # would live), and the hardware profiling layer (perf_event group
 # open/close lifecycle, counter-scaling math, ProfScope RAII under
@@ -35,13 +34,13 @@
 # and the suites that run work on pool threads (ZipfTest races threads on
 # the harmonic-sum memo; ChaosSweep serves its fleets on pool workers):
 #   MICROREC_SANITIZE=thread tools/verify_sanitize.sh build-tsan \
-#     'ThreadPool|ParallelRunner|ParallelDeterminism|MergeSnapshots|CpuEngine|ZeroAlloc|ZipfTest|ChaosSweep'
+#     'ThreadPool|ParallelRunner|ParallelDeterminism|CpuEngine|ZeroAlloc|ZipfTest|ChaosSweep'
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 sanitize="${MICROREC_SANITIZE:-address,undefined}"
 build="${1:-"$repo/build-asan"}"
-filter="${2:-"Update|DeltaStream|RngTest|ZipfTest|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|DmaRetry|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
+filter="${2:-"Update|DeltaStream|RngTest|ZipfTest|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
