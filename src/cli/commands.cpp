@@ -8,7 +8,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 
 #include "cli/sweep_args.hpp"
 #include "common/table_printer.hpp"
@@ -431,9 +433,8 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
   SweepArgsSpec sweep_spec;
   auto sweep = SweepArgs::Parse(args, sweep_spec);
   if (!sweep.ok()) return sweep.status();
-  auto points = args.GetUint("points", 5);
+  auto points = ParseSweepPoints(args, "points", 5, 2);
   if (!points.ok()) return points.status();
-  if (*points < 2) return Status::InvalidArgument("--points must be >= 2");
   auto update_max = args.GetUint("update-qps-max", 5'000'000);
   if (!update_max.ok()) return update_max.status();
   if (*update_max == 0) {
@@ -604,9 +605,8 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
   sweep_spec.wants_qps = false;  // scaleout sweeps --qps-min/--qps-max
   auto sweep = SweepArgs::Parse(args, sweep_spec);
   if (!sweep.ok()) return sweep.status();
-  auto points = args.GetUint("points", 4);
+  auto points = ParseSweepPoints(args, "points", 4, 1);
   if (!points.ok()) return points.status();
-  if (*points == 0) return Status::InvalidArgument("--points must be >= 1");
   auto qps_min = args.GetUint("qps-min", 500'000);
   if (!qps_min.ok()) return qps_min.status();
   auto qps_max = args.GetUint("qps-max", 4'000'000);
@@ -1561,21 +1561,35 @@ Status RunCli(const std::vector<std::string>& tokens, std::ostream& out) {
       rest, /*flag_keys=*/{"no-cartesian", "no-onchip", "timeline", "slo"});
   if (!args.ok()) return args.status();
 
-  if (command == "modelgen") return CmdModelGen(*args, out);
-  if (command == "inspect") return CmdInspect(*args, out);
-  if (command == "plan") return CmdPlan(*args, out);
-  if (command == "record") return CmdRecord(*args, out);
-  if (command == "simulate") return CmdSimulate(*args, out);
-  if (command == "trace") return CmdTrace(*args, out);
-  if (command == "update-sweep") return CmdUpdateSweep(*args, out);
-  if (command == "fault-sweep") return CmdFaultSweep(*args, out);
-  if (command == "scaleout") return CmdScaleout(*args, out);
-  if (command == "sched-sweep") return CmdSchedSweep(*args, out);
-  if (command == "chaos-sweep") return CmdChaosSweep(*args, out);
-  if (command == "explain") return CmdExplain(*args, out);
-  if (command == "perfgate") return CmdPerfGate(*args, out);
-  if (command == "profile") return CmdProfile(*args, out);
-  if (command == "selfcheck") return CmdSelfCheck(*args, out);
+  // A size taken from the command line (--queries, --items, --batch) can
+  // exceed what this host can allocate; that is an input error, not a
+  // crash. Pool workers rethrow their exceptions to this thread too.
+  auto too_large = [&](const std::exception& e) {
+    return Status::ResourceExhausted("'" + command +
+                                     "' cannot allocate its inputs: " +
+                                     e.what());
+  };
+  try {
+    if (command == "modelgen") return CmdModelGen(*args, out);
+    if (command == "inspect") return CmdInspect(*args, out);
+    if (command == "plan") return CmdPlan(*args, out);
+    if (command == "record") return CmdRecord(*args, out);
+    if (command == "simulate") return CmdSimulate(*args, out);
+    if (command == "trace") return CmdTrace(*args, out);
+    if (command == "update-sweep") return CmdUpdateSweep(*args, out);
+    if (command == "fault-sweep") return CmdFaultSweep(*args, out);
+    if (command == "scaleout") return CmdScaleout(*args, out);
+    if (command == "sched-sweep") return CmdSchedSweep(*args, out);
+    if (command == "chaos-sweep") return CmdChaosSweep(*args, out);
+    if (command == "explain") return CmdExplain(*args, out);
+    if (command == "perfgate") return CmdPerfGate(*args, out);
+    if (command == "profile") return CmdProfile(*args, out);
+    if (command == "selfcheck") return CmdSelfCheck(*args, out);
+  } catch (const std::bad_alloc& e) {
+    return too_large(e);
+  } catch (const std::length_error& e) {
+    return too_large(e);
+  }
   out << UsageText();
   return Status::InvalidArgument("unknown command '" + command + "'");
 }

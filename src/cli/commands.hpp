@@ -132,7 +132,9 @@ Status CmdProfile(const ArgList& args, std::ostream& out);
 Status CmdSelfCheck(const ArgList& args, std::ostream& out);
 
 /// Dispatches `tokens` (argv without the program name) to a subcommand.
-/// Unknown / missing subcommands print usage and return InvalidArgument.
+/// Unknown / missing subcommands print usage and return InvalidArgument; a
+/// command that cannot allocate the sizes its arguments ask for returns
+/// ResourceExhausted.
 Status RunCli(const std::vector<std::string>& tokens, std::ostream& out);
 
 /// The usage text.

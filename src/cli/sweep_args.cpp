@@ -4,6 +4,20 @@
 
 namespace microrec::cli {
 
+StatusOr<std::uint64_t> ParseSweepPoints(const ArgList& args,
+                                         const std::string& name,
+                                         std::uint64_t default_points,
+                                         std::uint64_t min_points) {
+  auto points = args.GetUint(name, default_points);
+  if (!points.ok()) return points.status();
+  if (*points < min_points || *points > kMaxSweepPoints) {
+    return Status::InvalidArgument(
+        "--" + name + " must be in [" + std::to_string(min_points) + ", " +
+        std::to_string(kMaxSweepPoints) + "]");
+  }
+  return *points;
+}
+
 StatusOr<SweepArgs> SweepArgs::Parse(const ArgList& args,
                                      const SweepArgsSpec& spec) {
   SweepArgs parsed;
@@ -53,11 +67,9 @@ StatusOr<FaultArgs> FaultArgs::Parse(const ArgList& args,
     }
     parsed.intensity_max = *intensity;
 
-    auto points = args.GetUint("fault-points", spec.default_intensity_points);
+    auto points = ParseSweepPoints(args, "fault-points",
+                                   spec.default_intensity_points, 1);
     if (!points.ok()) return points.status();
-    if (*points == 0) {
-      return Status::InvalidArgument("--fault-points must be >= 1");
-    }
     parsed.intensity_points = *points;
 
     auto fault_seed = args.GetUint("fault-seed", spec.default_fault_seed);

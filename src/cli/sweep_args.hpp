@@ -6,11 +6,24 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "cli/args.hpp"
 #include "common/status.hpp"
 
 namespace microrec::cli {
+
+/// Largest grid a sweep accepts for --points or --fault-points (the
+/// defaults are 3-5). The grid is sized from the count before any point
+/// runs, so a larger one is refused rather than allocated.
+inline constexpr std::uint64_t kMaxSweepPoints = 1024;
+
+/// Reads the grid-size option --`name` (default `default_points`) and
+/// rejects a count outside [min_points, kMaxSweepPoints].
+StatusOr<std::uint64_t> ParseSweepPoints(const ArgList& args,
+                                         const std::string& name,
+                                         std::uint64_t default_points,
+                                         std::uint64_t min_points);
 
 /// Per-command defaults for the shared sweep options.
 struct SweepArgsSpec {

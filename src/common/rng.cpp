@@ -59,10 +59,6 @@ double Rng::NextGaussian() {
   return u * mul;
 }
 
-void Rng::Discard(std::uint64_t n) {
-  for (; n > 0; --n) Next();
-}
-
 void Rng::DiscardGaussians(std::uint64_t n) {
   if (n == 0) return;
   if (has_spare_gaussian_) {  // the first call returns the pending spare

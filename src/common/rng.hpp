@@ -71,9 +71,6 @@ class Rng {
   /// a spare, which the next call returns without drawing.
   double NextGaussian();
 
-  /// Leaves the generator exactly as `n` discarded Next() calls would.
-  void Discard(std::uint64_t n);
-
   /// Leaves the generator exactly as `n` discarded NextGaussian() calls
   /// would, spare included: it draws the same polar-method candidates and
   /// counts accepted pairs, without computing their values (no log or

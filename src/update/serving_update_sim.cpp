@@ -7,7 +7,6 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "serving/pipeline_server.hpp"
-#include "update/replan.hpp"
 
 namespace microrec {
 
@@ -23,19 +22,14 @@ std::string UpdateServingReport::ToString() const {
   os << "write interference: " << delayed_queries << " delayed quer(ies), "
      << "mean " << FormatNanos(interference_mean) << ", max "
      << FormatNanos(interference_max);
-  if (migrations > 0) {
-    os << "\nmigrations: " << migrations << " re-placement(s), "
-       << FormatBytes(migrated_bytes) << " moved, "
-       << FormatNanos(migration_cost_ns) << " copy time";
-  }
   return os.str();
 }
 
 namespace {
 
-/// A publish whose version swap takes effect once its writes complete.
+/// A batch's version swap, which takes effect once its writes complete.
 struct PendingPublish {
-  Nanoseconds effective_ns = 0.0;   ///< write completion of the batch group
+  Nanoseconds effective_ns = 0.0;   ///< write completion of the batch
   Nanoseconds newest_delta_ns = 0.0;
 };
 
@@ -69,10 +63,10 @@ UpdateServingReport SimulateServingWithUpdates(
 
   DeltaStream stream(model, config.deltas);
   UpdateWriteInjector injector(plan, platform);
-  IncrementalReplanner replanner(model.tables, plan, platform,
-                                 config.placement);
-  std::vector<BankAccess> lookup =
-      plan.ToBankAccesses(config.placement.lookups_per_table);
+  // One access per table: LookupDelay takes the largest remaining write
+  // occupancy over the banks a lookup touches, so repeated lookups of a
+  // table change nothing.
+  const std::vector<BankAccess> lookup = plan.ToBankAccesses(1);
 
   PercentileTracker staleness;
   RunningStats interference;
@@ -84,49 +78,17 @@ UpdateServingReport SimulateServingWithUpdates(
   Nanoseconds issue_cursor = 0.0;
   Nanoseconds newest_generated = 0.0;
   Nanoseconds newest_published = 0.0;
-  std::uint32_t batches_since_publish = 0;
-  Nanoseconds group_newest_delta = 0.0;
-  Nanoseconds group_write_done = 0.0;
   std::deque<PendingPublish> pending_publishes;
 
   // Issues one batch's writes at `at` (clamped to the channel-order
-  // cursor), runs growth-triggered re-placement, and queues the version
-  // swap once the publish group's writes complete.
+  // cursor) and queues its version swap for when those writes complete.
   auto issue_batch = [&](const UpdateBatch& batch, Nanoseconds at) {
     ++report.update_batches;
     report.update_rows += batch.size();
-
-    if (config.enable_replacement) {
-      for (const EmbeddingDelta& delta : batch.deltas) {
-        if (!delta.grows_table) continue;
-        auto migration =
-            replanner.OnRowGrowth(delta.table_id, delta.row + 1, at);
-        if (!migration.ok() || !migration->has_value()) continue;
-        const MigrationEvent& event = **migration;
-        ++report.migrations;
-        report.migrated_bytes += event.bytes_moved;
-        report.migration_cost_ns += event.cost_ns;
-        injector.RebuildRoutes(replanner.plan());
-        issue_cursor = std::max(issue_cursor, at);
-        injector.InjectRaw(event.destination_writes, issue_cursor);
-        lookup = replanner.plan().ToBankAccesses(
-            config.placement.lookups_per_table);
-      }
-    }
-
     issue_cursor = std::max(issue_cursor, at);
     const Nanoseconds done = injector.Inject(batch, issue_cursor);
-    group_newest_delta = std::max(group_newest_delta, batch.time_ns);
-    group_write_done = std::max(group_write_done, done);
-
-    if (++batches_since_publish >= config.publish_every_batches) {
-      pending_publishes.push_back(
-          PendingPublish{group_write_done, group_newest_delta});
-      ++report.publishes;
-      batches_since_publish = 0;
-      group_newest_delta = 0.0;
-      group_write_done = 0.0;
-    }
+    pending_publishes.push_back(PendingPublish{done, batch.time_ns});
+    ++report.publishes;
   };
 
   auto roll_publishes_forward = [&](Nanoseconds now) {
@@ -201,7 +163,7 @@ UpdateServingReport SimulateServingWithUpdates(
   }
 
   report.serving = SummarizeServing(arrivals, completions, config.sla_ns);
-  report.update_bytes_written = injector.stats().bytes_written;
+  report.update_bytes_written = injector.bytes_written();
   report.staleness_p50 = staleness.Percentile(0.50);
   report.staleness_p95 = staleness.Percentile(0.95);
   report.staleness_p99 = staleness.Percentile(0.99);

@@ -2,11 +2,10 @@
 //
 // Runs the item-streaming pipeline (serving/serving_sim.hpp) under a
 // concurrent embedding-update stream: update writes occupy the same memory
-// banks the queries' lookups read from, version publishes lag generation by
-// the write time (plus the yield policy's deferral), and vocabulary growth
-// can force incremental re-placement with a migration cost. The report
-// extends the standard ServingReport with staleness and interference
-// percentiles.
+// banks the queries' lookups read from, and each batch's version publish
+// lags its generation by the write time (plus the yield policy's deferral).
+// The report extends the standard ServingReport with staleness and
+// interference percentiles.
 //
 // Regression guarantee (tested): with update_row_qps == 0 the report is
 // bit-for-bit identical to a one-replica sched::PipelineBackend serving the
@@ -37,14 +36,6 @@ struct UpdateServingConfig {
   // ---- Update stream ----
   DeltaStreamConfig deltas;  ///< update_row_qps == 0 disables updates
   WritePolicy policy = WritePolicy::kFairInterleave;
-  /// Version-swap cadence: publish after every this many applied batches.
-  std::uint32_t publish_every_batches = 1;
-
-  // ---- Placement context ----
-  PlacementOptions placement;  ///< options the input plan was built with
-  /// Re-run the heuristic when growth overflows a bank (migration cost is
-  /// charged and the new plan serves subsequent lookups).
-  bool enable_replacement = true;
 };
 
 struct UpdateServingReport {
@@ -69,6 +60,9 @@ struct UpdateServingReport {
   Nanoseconds interference_max = 0.0;
   std::uint64_t delayed_queries = 0;
 
+  /// Always zero: the plan never changes during a run. Kept because
+  /// update-sweep prints a migrations column and perfbench's recorded
+  /// sim-accel digests cover all three.
   std::uint64_t migrations = 0;
   Bytes migrated_bytes = 0;
   Nanoseconds migration_cost_ns = 0.0;
@@ -78,7 +72,7 @@ struct UpdateServingReport {
 
 /// Simulates serving `arrivals` through the pipelined server while a
 /// DeltaStream generated from `config.deltas` updates the model's tables.
-/// `plan` maps tables to banks (it is re-derived on migration).
+/// `plan` maps tables to banks for both the writes and the lookups.
 UpdateServingReport SimulateServingWithUpdates(
     const RecModelSpec& model, const PlacementPlan& plan,
     const MemoryPlatformSpec& platform,

@@ -19,11 +19,6 @@ const char* WritePolicyName(WritePolicy policy) {
 UpdateWriteInjector::UpdateWriteInjector(const PlacementPlan& plan,
                                          const MemoryPlatformSpec& platform)
     : memory_(platform) {
-  RebuildRoutes(plan);
-}
-
-void UpdateWriteInjector::RebuildRoutes(const PlacementPlan& plan) {
-  routes_.clear();
   for (const TablePlacement& placement : plan.placements) {
     const CombinedTable& combined = placement.table;
     for (const TableSpec& member : combined.members()) {
@@ -60,21 +55,10 @@ Nanoseconds UpdateWriteInjector::Inject(const UpdateBatch& batch,
     if (r == nullptr) continue;
     access_scratch_.push_back(
         BankAccess{r->bank, r->bytes_per_row_update, delta.seq});
-    stats_.amplified_rows += r->amplification_rows;
+    bytes_written_ += r->bytes_per_row_update;
   }
-  return InjectRaw(access_scratch_, issue_ns);
-}
-
-Nanoseconds UpdateWriteInjector::InjectRaw(
-    std::span<const BankAccess> accesses, Nanoseconds issue_ns) {
-  if (accesses.empty()) return issue_ns;
-  memory_.IssueBatchInto(accesses, issue_ns, result_scratch_);
-  stats_.write_transactions += accesses.size();
-  for (const BankAccess& access : accesses) {
-    stats_.bytes_written += access.bytes;
-  }
-  stats_.last_completion_ns =
-      std::max(stats_.last_completion_ns, result_scratch_.completion_ns);
+  if (access_scratch_.empty()) return issue_ns;
+  memory_.IssueBatchInto(access_scratch_, issue_ns, result_scratch_);
   return result_scratch_.completion_ns;
 }
 

@@ -34,15 +34,6 @@ enum class WritePolicy { kFairInterleave, kUpdatesYield };
 
 const char* WritePolicyName(WritePolicy policy);
 
-struct UpdateWriteStats {
-  std::uint64_t write_transactions = 0;
-  Bytes bytes_written = 0;
-  /// Product-table entries rewritten on behalf of member-row deltas
-  /// (Cartesian write amplification).
-  std::uint64_t amplified_rows = 0;
-  Nanoseconds last_completion_ns = 0.0;
-};
-
 class UpdateWriteInjector {
  public:
   /// Routes are derived from `plan`: each original table maps to the bank
@@ -57,21 +48,14 @@ class UpdateWriteInjector {
   /// completion time of the slowest write.
   Nanoseconds Inject(const UpdateBatch& batch, Nanoseconds issue_ns);
 
-  /// Issues raw accesses (e.g. a migration's streaming copy) at `issue_ns`.
-  Nanoseconds InjectRaw(std::span<const BankAccess> accesses,
-                        Nanoseconds issue_ns);
-
   /// Extra delay a lookup batch starting at `start_ns` suffers from
   /// in-flight update writes: the largest remaining write occupancy across
   /// the banks the lookup touches. Zero when no writes are in flight.
   Nanoseconds LookupDelay(std::span<const BankAccess> lookup,
                           Nanoseconds start_ns) const;
 
-  /// Recomputes table->bank routes after an incremental re-placement.
-  void RebuildRoutes(const PlacementPlan& plan);
-
-  const UpdateWriteStats& stats() const { return stats_; }
-  const HybridMemorySystem& memory() const { return memory_; }
+  /// Bytes written by every injected batch so far.
+  Bytes bytes_written() const { return bytes_written_; }
 
   /// Write route of one original table (nullptr if the table is not in the
   /// plan — its deltas are dropped and counted nowhere).
@@ -85,7 +69,7 @@ class UpdateWriteInjector {
  private:
   HybridMemorySystem memory_;
   std::unordered_map<std::uint32_t, Route> routes_;
-  UpdateWriteStats stats_;
+  Bytes bytes_written_ = 0;
   /// Scratch reused across Inject calls so per-batch injection does no
   /// steady-state allocation (accesses staging + issue result).
   std::vector<BankAccess> access_scratch_;

@@ -9,6 +9,7 @@
 
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "cli/sweep_args.hpp"
 #include "obs/json_reader.hpp"
 
 namespace microrec::cli {
@@ -484,6 +485,62 @@ TEST_F(CliTest, ScaleoutRejectsBadQpsRange) {
   auto [status, out] = Run({"scaleout", model_path, "--qps-min", "2000000",
                             "--qps-max", "1000000"});
   EXPECT_FALSE(status.ok());
+}
+
+// ------------------------------------------------------- oversized inputs
+
+// A grid count above the cap is refused before anything is sized by it:
+// the sweeps size their grids from it, and scaleout builds its grid one
+// point at a time, so 2^64 - 1 points would otherwise run until memory is
+// exhausted.
+TEST_F(CliTest, SweepGridCountsAreCapped) {
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  const std::vector<std::vector<std::string>> commands = {
+      {"update-sweep", model_path, "--points"},
+      {"scaleout", model_path, "--points"},
+      {"chaos-sweep", "--fault-points"},
+  };
+  const std::string counts[] = {std::to_string(kMaxSweepPoints + 1),
+                                "18446744073709551615"};
+  for (const std::string& count : counts) {
+    for (std::vector<std::string> tokens : commands) {
+      tokens.push_back(count);
+      const Status status = Run(tokens).first;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << tokens[0] << " " << count << ": " << status;
+      EXPECT_NE(status.message().find(std::to_string(kMaxSweepPoints)),
+                std::string::npos)
+          << status;
+    }
+  }
+}
+
+// A size too large to allocate comes back as an error. Each of these
+// throws std::length_error or std::bad_alloc inside its command, which
+// would abort the process if it escaped RunCli.
+TEST_F(CliTest, UnallocatableSizesReturnResourceExhausted) {
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  const std::string max = "18446744073709551615";
+  const std::vector<std::vector<std::string>> commands = {
+      {"update-sweep", model_path, "--queries", max},
+      {"fault-sweep", model_path, "--queries", max},
+      {"scaleout", model_path, "--queries", max},
+      {"sched-sweep", "--queries", max},
+      {"chaos-sweep", "--queries", max},
+      {"trace", model_path, "--queries", max, "--trace-out",
+       Path("trace.json"), "--metrics-out", Path("metrics.json")},
+      {"record", model_path, "--queries", max, "--out", Path("trace.txt")},
+      {"simulate", model_path, "--items", max},
+      {"profile", "--batch", max, "--max-rows", "16", "--json",
+       Path("profile.json")},
+  };
+  for (const std::vector<std::string>& tokens : commands) {
+    const Status status = Run(tokens).first;
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << tokens[0] << ": " << status;
+  }
 }
 
 // ---------------------------------------------------------------- trace
