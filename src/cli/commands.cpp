@@ -457,6 +457,15 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
   if (!engine.ok()) return engine.status();
   const auto arrivals = PoissonArrivals(static_cast<double>(sweep->qps),
                                         sweep->queries, sweep->seed);
+  // Update generation stops at the last arrival, so the top point generates
+  // about update-qps-max x that window rows.
+  if (static_cast<double>(*update_max) * ToSeconds(arrivals.back()) >
+      static_cast<double>(kMaxUpdateRowsPerPoint)) {
+    return Status::InvalidArgument(
+        "--update-qps-max " + std::to_string(*update_max) + " over the " +
+        FormatNanos(arrivals.back()) + " arrival window generates more than " +
+        std::to_string(kMaxUpdateRowsPerPoint) + " update rows per point");
+  }
 
   // Point k sweeps geometrically from update-qps-max / 2^(points-2) up to
   // update-qps-max, with an exact 0 first (the no-update baseline).
@@ -1495,7 +1504,9 @@ std::string UsageText() {
       "  update-sweep <model-file> [--queries N] [--qps R] [--seed S]\n"
       "               [--points K] [--update-qps-max U] [--policy fair|yield]\n"
       "               [--json F] [--threads T]\n"
-      "      serving tail latency + staleness vs online update rate\n"
+      "      serving tail latency + staleness vs online update rate; the\n"
+      "      interfered column counts queries whose own lookup met a write\n"
+      "      in flight, so it falls as writes saturate the banks\n"
       "  fault-sweep <model-file> [--queries N] [--qps R] [--seed S]\n"
       "              [--fault-max-failed K] [--json F] [--threads T]\n"
       "      availability + degraded tail latency vs failed HBM channels\n"

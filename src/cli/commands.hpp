@@ -40,6 +40,7 @@
 // so stdout and any JSON output are byte-identical at every thread count.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -70,7 +71,16 @@ Status CmdTrace(const ArgList& args, std::ostream& out);
 
 /// Sweeps the online embedding-update rate against a fixed query stream and
 /// reports tail latency + snapshot staleness per point (src/update/).
+/// The `interfered` column counts only queries whose own lookup met an
+/// update write in flight (UpdateServingReport::delayed_queries).
 Status CmdUpdateSweep(const ArgList& args, std::ostream& out);
+
+/// Most update rows one update-sweep point may generate: --update-qps-max
+/// times the last query arrival. Every row is a simulated bank write (and,
+/// under the yield policy, a parked entry until an idle gap), so a larger
+/// top rate is refused rather than simulated. The default grid's top point
+/// generates about 333k rows.
+inline constexpr std::uint64_t kMaxUpdateRowsPerPoint = std::uint64_t{1} << 26;
 
 /// Sweeps the number of failed HBM channels at replication factors 1/2/4
 /// and reports availability, shed rate, and degraded p50/p99 per point

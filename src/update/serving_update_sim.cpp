@@ -62,7 +62,7 @@ UpdateServingReport SimulateServingWithUpdates(
   }
 
   DeltaStream stream(model, config.deltas);
-  UpdateWriteInjector injector(plan, platform);
+  UpdateWriteInjector injector(model, plan, platform);
   // One access per table: LookupDelay takes the largest remaining write
   // occupancy over the banks a lookup touches, so repeated lookups of a
   // table change nothing.

@@ -58,6 +58,12 @@ struct UpdateServingReport {
   /// Extra lookup delay from in-flight update writes.
   Nanoseconds interference_mean = 0.0;
   Nanoseconds interference_max = 0.0;
+  /// Queries whose own lookup found an update write still in flight on one
+  /// of its banks. A query that waits only because the pipeline is still
+  /// busy with an earlier, delayed query is not counted, so the count falls
+  /// as writes saturate the banks (update-sweep's `interfered` column on
+  /// `modelgen small`, fair policy: 440 at 625k rows/s, 6 at 5M rows/s)
+  /// while the tail keeps rising.
   std::uint64_t delayed_queries = 0;
 
   /// Always zero: the plan never changes during a run. Kept because

@@ -1,7 +1,7 @@
 // Write-interference model: update traffic on the serving memory system.
 //
-// Update writes are injected as write transactions into the same
-// HybridMemorySystem channels the embedding lookups read from, so updates
+// Update writes are injected as write transactions into per-bank channels
+// of the same memory platform the embedding lookups read from, so updates
 // and lookups compete for HBM/DDR bank occupancy. A lookup batch starting
 // while a bank still drains update writes waits for that bank — the extra
 // delay this module reports. Two write-priority policies are modelled:
@@ -19,14 +19,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
-#include "memsim/hybrid_memory.hpp"
+#include "memsim/channel_sim.hpp"
 #include "placement/plan.hpp"
 #include "update/delta_stream.hpp"
+#include "workload/model_zoo.hpp"
 
 namespace microrec {
 
@@ -36,11 +37,12 @@ const char* WritePolicyName(WritePolicy policy);
 
 class UpdateWriteInjector {
  public:
-  /// Routes are derived from `plan`: each original table maps to the bank
-  /// its (possibly Cartesian-combined) placement lives on. A delta to a
-  /// member of a product table dirties every product entry containing that
-  /// member row, so its write transaction carries the amplified byte count.
-  UpdateWriteInjector(const PlacementPlan& plan,
+  /// Routes are derived from `plan` once, one per table of `model`: each
+  /// table maps to the bank its (possibly Cartesian-combined) placement
+  /// lives on. An update to a member of a product table dirties every
+  /// product entry containing that member row, so its write transaction
+  /// carries the amplified byte count.
+  UpdateWriteInjector(const RecModelSpec& model, const PlacementPlan& plan,
                       const MemoryPlatformSpec& platform);
 
   /// Issues one batch's writes at `issue_ns` (>= any previous issue time).
@@ -57,23 +59,22 @@ class UpdateWriteInjector {
   /// Bytes written by every injected batch so far.
   Bytes bytes_written() const { return bytes_written_; }
 
-  /// Write route of one original table (nullptr if the table is not in the
-  /// plan — its deltas are dropped and counted nowhere).
+  /// Write route of the model's table at index `table` (nullptr if the
+  /// table is not in the plan — its updates are dropped and counted
+  /// nowhere).
   struct Route {
     std::uint32_t bank = 0;
     Bytes bytes_per_row_update = 0;
     std::uint64_t amplification_rows = 1;
   };
-  const Route* route(std::uint32_t table_id) const;
+  const Route* route(std::uint32_t table) const;
 
  private:
-  HybridMemorySystem memory_;
-  std::unordered_map<std::uint32_t, Route> routes_;
+  /// One FIFO channel per bank of the platform, built and served exactly
+  /// as HybridMemorySystem's (overlap 0, no telemetry).
+  std::vector<ChannelSim> banks_;
+  std::vector<std::optional<Route>> routes_;  // by model-table index
   Bytes bytes_written_ = 0;
-  /// Scratch reused across Inject calls so per-batch injection does no
-  /// steady-state allocation (accesses staging + issue result).
-  std::vector<BankAccess> access_scratch_;
-  LookupBatchResult result_scratch_;
 };
 
 }  // namespace microrec

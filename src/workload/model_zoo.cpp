@@ -1,8 +1,12 @@
 #include "workload/model_zoo.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <memory_resource>
 #include <string>
+#include <unordered_set>
 
 namespace microrec {
 
@@ -45,6 +49,15 @@ Status RecModelSpec::Validate() const {
   if (tables.empty()) return Status::InvalidArgument(name + ": no tables");
   Bytes total_bytes = 0;
   std::uint64_t feature_length = 0;  // FeatureLength() without the wrap
+  // Duplicate ids are found in one pass: a model may hold hundreds of
+  // thousands of tables (`modelgen dlrm --tables N`). The set's nodes come
+  // from a stack buffer first, so validating a model of up to about 150
+  // tables allocates nothing on the engine-build path.
+  std::array<std::byte, 4096> id_buffer{};
+  std::pmr::monotonic_buffer_resource id_memory(id_buffer.data(),
+                                                id_buffer.size());
+  std::pmr::unordered_set<std::uint32_t> ids(&id_memory);
+  ids.reserve(tables.size());
   for (std::size_t i = 0; i < tables.size(); ++i) {
     MICROREC_RETURN_IF_ERROR(tables[i].Validate());
     feature_length += tables[i].dim;
@@ -55,13 +68,11 @@ Status RecModelSpec::Validate() const {
           std::to_string(tables[i].id));
     }
     total_bytes += table_bytes;
-    // A pairwise scan allocates nothing on the engine-build path; models
-    // hold at most a few hundred tables.
-    for (std::size_t j = 0; j < i; ++j) {
-      if (tables[j].id == tables[i].id) {
-        return Status::InvalidArgument(name + ": duplicate table id " +
-                                       std::to_string(tables[i].id));
-      }
+    // Names the first table, in file order, whose id an earlier table
+    // already used.
+    if (!ids.insert(tables[i].id).second) {
+      return Status::InvalidArgument(name + ": duplicate table id " +
+                                     std::to_string(tables[i].id));
     }
   }
   if (feature_length > std::numeric_limits<std::uint32_t>::max()) {

@@ -516,6 +516,31 @@ TEST_F(CliTest, SweepGridCountsAreCapped) {
   }
 }
 
+// A top update rate is refused when its point would generate more than
+// kMaxUpdateRowsPerPoint rows over the arrival window: at 10^12 rows/s and
+// above, 100 queries used to run for longer than 20 s per point.
+TEST_F(CliTest, UpdateSweepCapsRowsPerPoint) {
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  for (const std::string rate : {"1000000000000", "18446744073709551615"}) {
+    for (const std::string policy : {"fair", "yield"}) {
+      const Status status =
+          Run({"update-sweep", model_path, "--queries", "100", "--threads",
+               "1", "--policy", policy, "--update-qps-max", rate})
+              .first;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << rate << " " << policy << ": " << status;
+      EXPECT_NE(status.message().find(std::to_string(kMaxUpdateRowsPerPoint)),
+                std::string::npos)
+          << status;
+    }
+  }
+  // The default grid stays well inside the cap.
+  EXPECT_TRUE(Run({"update-sweep", model_path, "--queries", "100",
+                   "--points", "2"})
+                  .first.ok());
+}
+
 // A size too large to allocate comes back as an error. Each of these
 // throws std::length_error or std::bad_alloc inside its command, which
 // would abort the process if it escaped RunCli.

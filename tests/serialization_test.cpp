@@ -97,6 +97,18 @@ TEST(ModelSerializationTest, RejectsDuplicateTableIds) {
   EXPECT_NE(result.status().message().find("duplicate table id 0"),
             std::string::npos)
       << result.status();
+
+  // Non-adjacent, non-zero duplicates: the error names the first table, in
+  // file order, whose id an earlier table already used.
+  const auto interleaved = ParseModel(
+      "microrec-model v1\nmlp 16 16\ntable 5 10 4 4 a\ntable 3 10 4 4 b\n"
+      "table 5 10 4 4 c\ntable 3 10 4 4 d\n");
+  ASSERT_FALSE(interleaved.ok());
+  const std::string message(interleaved.status().message());
+  EXPECT_NE(message.find("duplicate table id 5"), std::string::npos)
+      << interleaved.status();
+  EXPECT_EQ(message.find("duplicate table id 3"), std::string::npos)
+      << interleaved.status();
 }
 
 TEST(ModelSerializationTest, RejectsUnboundedLookupsPerTable) {

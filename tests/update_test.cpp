@@ -45,13 +45,8 @@ TEST(DeltaStream, DeterministicGivenSeed) {
   DeltaStream a(model, config), b(model, config);
   for (int i = 0; i < 10; ++i) {
     const UpdateBatch ba = a.NextBatch(), bb = b.NextBatch();
-    ASSERT_EQ(ba.size(), bb.size());
     EXPECT_EQ(ba.time_ns, bb.time_ns);
-    for (std::size_t d = 0; d < ba.size(); ++d) {
-      EXPECT_EQ(ba.deltas[d].table_id, bb.deltas[d].table_id);
-      EXPECT_EQ(ba.deltas[d].row, bb.deltas[d].row);
-      EXPECT_EQ(ba.deltas[d].seq, bb.deltas[d].seq);
-    }
+    EXPECT_EQ(ba.tables, bb.tables);
   }
 }
 
@@ -61,7 +56,6 @@ TEST(DeltaStream, TimestampsStrictlyIncreaseAtConfiguredRate) {
   DeltaStream stream(TinyModel(), config);
   Nanoseconds last = -1.0;
   double sum_gap = 0.0;
-  std::uint64_t next_seq = 0;
   constexpr int kBatches = 2000;
   for (int i = 0; i < kBatches; ++i) {
     const auto batch = stream.NextBatch();
@@ -69,23 +63,35 @@ TEST(DeltaStream, TimestampsStrictlyIncreaseAtConfiguredRate) {
     if (last >= 0.0) sum_gap += batch.time_ns - last;
     last = batch.time_ns;
     EXPECT_EQ(batch.size(), DeltaStream::kRowsPerBatch);
-    for (const auto& d : batch.deltas) EXPECT_EQ(d.seq, next_seq++);
   }
   // Mean inter-batch gap should be near kRowsPerBatch / qps = 64000 ns.
   const double mean_gap = sum_gap / (kBatches - 1);
   EXPECT_NEAR(mean_gap, 64000.0, 64000.0 * 0.15);
 }
 
-TEST(DeltaStream, DeltasTargetValidRowsWithMatchingDims) {
-  const auto model = TinyModel();
-  DeltaStreamConfig config;
-  DeltaStream stream(model, config);
+// A model whose table ids are not their positions in `tables`.
+RecModelSpec ShuffledIdModel() {
+  RecModelSpec model = TinyModel();
+  model.tables[0].id = 30;
+  model.tables[1].id = 10;
+  model.tables[2].id = 20;
+  return model;
+}
+
+// An update names its table by its index into the model's tables, never by
+// the table's id, and the stream reaches every table.
+TEST(DeltaStream, UpdatesNameTableIndicesNotIds) {
+  const auto model = ShuffledIdModel();
+  DeltaStream stream(model, DeltaStreamConfig{});
+  std::vector<std::uint64_t> updates(model.tables.size(), 0);
   for (int i = 0; i < 50; ++i) {
-    for (const auto& d : stream.NextBatch().deltas) {
-      ASSERT_LT(d.table_id, model.tables.size());
-      const auto& spec = model.tables[d.table_id];
-      EXPECT_LT(d.row, spec.rows);
+    for (const std::uint32_t table : stream.NextBatch().tables) {
+      ASSERT_LT(table, model.tables.size());
+      ++updates[table];
     }
+  }
+  for (std::size_t t = 0; t < updates.size(); ++t) {
+    EXPECT_GT(updates[t], 0u) << "table index " << t;
   }
 }
 
@@ -106,36 +112,37 @@ void Mix(std::uint64_t& digest, std::uint64_t word) {
   digest = SplitMix64(state);
 }
 
-// Digest of every batch timestamp and every delta's table, row and seq over
+// Digest of every batch timestamp and the id of every update's table over
 // the stream's next `batches` batches.
 std::uint64_t StreamDigest(DeltaStream& stream, int batches) {
   std::uint64_t digest = 0;
   for (int i = 0; i < batches; ++i) {
     const UpdateBatch batch = stream.NextBatch();
     Mix(digest, std::bit_cast<std::uint64_t>(batch.time_ns));
-    for (const EmbeddingDelta& d : batch.deltas) {
-      Mix(digest, d.table_id);
-      Mix(digest, d.row);
-      Mix(digest, d.seq);
+    for (const std::uint32_t table : batch.tables) {
+      Mix(digest, stream.model().tables[table].id);
     }
   }
   return digest;
 }
 
-// Pins the stream's RNG consumption: the recorded digest fixes every row,
-// seq and timestamp, so the value draws NextBatch discards (one Gaussian per
-// element of each delta) must not change.
+// Pins the stream's RNG consumption: the recorded digest fixes every table
+// choice and timestamp, so the draws NextBatch replays without using them
+// (one uniform for each update's target row, one Gaussian per element of
+// its vector) must not change.
 TEST(DeltaStream, StreamMatchesParentRecording) {
   DeltaStreamConfig config;
   config.update_row_qps = 1e6;
   config.seed = 7;
   DeltaStream stream(SmallProductionModel(), config);
-  EXPECT_EQ(StreamDigest(stream, 256), 0xe3ba68dde6e7174eull);
+  EXPECT_EQ(StreamDigest(stream, 256), 0x22db5287e44bf495ull);
 }
 
 // The same pin over odd dims. SmallProductionModel's dims are all even, so
 // an update there never leaves a Gaussian spare pending for the next one;
-// here a dim-1, 3, 5 or 7 update leaves one whenever it starts without.
+// here a dim-1, 3, 5 or 7 update leaves one whenever it starts without. The
+// second model adds one-row tables, whose updates draw no target row, and
+// ids that are not table indices.
 TEST(DeltaStream, OddDimStreamMatchesRecordedDigest) {
   RecModelSpec model;
   model.name = "odd-dims";
@@ -151,10 +158,30 @@ TEST(DeltaStream, OddDimStreamMatchesRecordedDigest) {
   config.update_row_qps = 1e6;
   config.seed = 13;
   DeltaStream stream(model, config);
-  EXPECT_EQ(StreamDigest(stream, 256), 0x8464710707881d27ull);
+  EXPECT_EQ(StreamDigest(stream, 256), 0x52be332e02c28947ull);
+
+  model.name = "one-row";
+  model.tables = {
+      TableSpec{7, "t7", 1, 4, 4},
+      TableSpec{3, "t3", 900, 3, 4},
+      TableSpec{5, "t5", 1, 1, 4},
+  };
+  model.mlp.input_dim = 8;
+  config.seed = 21;
+  DeltaStream one_row(model, config);
+  EXPECT_EQ(StreamDigest(one_row, 256), 0x8a19b93dc8ba7665ull);
 }
 
 // ------------------------------------------------------- UpdateWriteInjector
+
+// Index into `model.tables` of the table with id `id`.
+std::uint32_t IndexOf(const RecModelSpec& model, std::uint32_t id) {
+  for (std::uint32_t t = 0; t < model.tables.size(); ++t) {
+    if (model.tables[t].id == id) return t;
+  }
+  ADD_FAILURE() << "no table with id " << id;
+  return 0;
+}
 
 TEST(WriteInjector, RoutesCoverEveryTableAndWritesOccupyBanks) {
   const auto model = TinyModel();
@@ -162,16 +189,16 @@ TEST(WriteInjector, RoutesCoverEveryTableAndWritesOccupyBanks) {
   const auto platform = MemoryPlatformSpec::AlveoU280();
   const auto plan = HeuristicSearch(model.tables, platform, options).value();
 
-  UpdateWriteInjector injector(plan, platform);
-  for (const auto& t : model.tables) {
-    ASSERT_NE(injector.route(t.id), nullptr) << "table " << t.id;
+  UpdateWriteInjector injector(model, plan, platform);
+  for (std::uint32_t t = 0; t < model.tables.size(); ++t) {
+    ASSERT_NE(injector.route(t), nullptr) << "table " << t;
   }
 
   DeltaStream stream(model, DeltaStreamConfig{});
   const auto batch = stream.NextBatch();
   Bytes expected_bytes = 0;
-  for (const auto& d : batch.deltas) {
-    expected_bytes += injector.route(d.table_id)->bytes_per_row_update;
+  for (const std::uint32_t table : batch.tables) {
+    expected_bytes += injector.route(table)->bytes_per_row_update;
   }
   const Nanoseconds done = injector.Inject(batch, 1000.0);
   EXPECT_GT(done, 1000.0);
@@ -193,13 +220,13 @@ TEST(WriteInjector, ProductMembersWriteEveryEntryHoldingTheRow) {
   PlacementOptions options;
   options.max_onchip_tables = model.max_onchip_tables;
   const auto plan = HeuristicSearch(model.tables, platform, options).value();
-  UpdateWriteInjector injector(plan, platform);
+  UpdateWriteInjector injector(model, plan, platform);
 
   std::size_t products = 0, plain = 0;
   for (const TablePlacement& placement : plan.placements) {
     const CombinedTable& combined = placement.table;
     for (const TableSpec& member : combined.members()) {
-      const auto* route = injector.route(member.id);
+      const auto* route = injector.route(IndexOf(model, member.id));
       ASSERT_NE(route, nullptr) << "table " << member.id;
       EXPECT_EQ(route->bank, placement.bank);
       if (!combined.is_product()) {
@@ -221,6 +248,48 @@ TEST(WriteInjector, ProductMembersWriteEveryEntryHoldingTheRow) {
   }
   EXPECT_GT(products, 0u);
   EXPECT_GT(plain, 0u);
+}
+
+// Routes are looked up by table index, so ids that differ from the indices
+// still reach their own banks; a table the plan leaves out has no route,
+// and its updates are dropped without a write or a byte.
+TEST(WriteInjector, RoutesByTableIndexAndDropsUnplannedTables) {
+  const auto model = ShuffledIdModel();  // ids 30, 10, 20
+  const auto platform = MemoryPlatformSpec::AlveoU280();
+  PlacementOptions options;
+  options.allow_cartesian = false;  // one plain table per placement
+  const std::vector<TableSpec> planned = {model.tables[0], model.tables[2]};
+  const auto plan = HeuristicSearch(planned, platform, options).value();
+  UpdateWriteInjector injector(model, plan, platform);
+
+  for (const TablePlacement& placement : plan.placements) {
+    for (const TableSpec& member : placement.table.members()) {
+      const auto* route = injector.route(IndexOf(model, member.id));
+      ASSERT_NE(route, nullptr) << "table " << member.id;
+      EXPECT_EQ(route->bank, placement.bank) << "table " << member.id;
+      EXPECT_EQ(route->bytes_per_row_update, member.VectorBytes());
+    }
+  }
+  ASSERT_EQ(injector.route(1), nullptr);  // id 10 is not in the plan
+
+  // A batch of unplanned updates writes nothing and completes at once.
+  UpdateBatch unplanned;
+  unplanned.tables.fill(1);
+  EXPECT_EQ(injector.Inject(unplanned, 500.0), 500.0);
+  EXPECT_EQ(injector.bytes_written(), 0u);
+  EXPECT_EQ(injector.LookupDelay(plan.ToBankAccesses(1), 500.0), 0.0);
+
+  // A mixed batch writes only its planned updates.
+  UpdateBatch mixed;
+  Bytes expected_bytes = 0;
+  for (std::size_t i = 0; i < mixed.tables.size(); ++i) {
+    mixed.tables[i] = static_cast<std::uint32_t>(i % 3);
+    if (i % 3 != 1) {
+      expected_bytes += injector.route(mixed.tables[i])->bytes_per_row_update;
+    }
+  }
+  EXPECT_GT(injector.Inject(mixed, 1000.0), 1000.0);
+  EXPECT_EQ(injector.bytes_written(), expected_bytes);
 }
 
 // -------------------------------------------------- Update-aware serving sim

@@ -15,7 +15,8 @@
 // and 4 threads: the pool hands shards to its workers through a job on the
 // caller's stack and a non-owning callable reference, so sharding a batch
 // allocates nothing. The simulated fleet's LRU hot-row cache is held to the
-// same rule once it is full.
+// same rule once it is full, and so is the model validation every engine
+// build runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -162,6 +163,18 @@ TEST(ZeroAllocTest, ThreadPoolParallelForAllocatesNothing) {
   EXPECT_EQ(AllocCount(), before) << "ParallelFor allocated";
   EXPECT_EQ(shards, 4u + 20u * (4u + 100u));
   for (int h : hits) EXPECT_EQ(h, 41);
+}
+
+// The duplicate-id check keeps its hash set in a stack buffer, so both
+// production models (47 and 98 tables) validate without touching the heap.
+TEST(ZeroAllocTest, ModelValidateAllocatesNothing) {
+  for (const RecModelSpec& model :
+       {SmallProductionModel(), LargeProductionModel()}) {
+    const std::uint64_t before = AllocCount();
+    const bool ok = model.Validate().ok();
+    EXPECT_EQ(AllocCount(), before) << model.name;
+    EXPECT_TRUE(ok) << model.name;
+  }
 }
 
 TEST(ZeroAllocTest, InferBatchSteadyStateAllocatesNothing) {

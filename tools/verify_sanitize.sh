@@ -3,8 +3,9 @@
 # with the sanitizers named in $MICROREC_SANITIZE (default
 # address,undefined) and runs the tests most exposed to
 # memory/concurrency bugs -- the update subsystem (its delta stream, the
-# RNG and Zipf sampler that stream replays and draws from, and the write
-# injector's per-batch scratch and route map), the hot cache, the
+# RNG whose draws that stream replays, and the write injector's per-index
+# route array and bank channels), the Zipf sampler, the model reader and
+# its validation (ModelSerialization), the hot cache, the
 # embedding/Cartesian layer, and the fault-schedule / failover / fault-sweep
 # machinery (shed-lookup bookkeeping, retry policy, schedule generation),
 # plus the telemetry layer (metrics registry, histograms, span tracer,
@@ -41,7 +42,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 sanitize="${MICROREC_SANITIZE:-address,undefined}"
 build="${1:-"$repo/build-asan"}"
-filter="${2:-"Update|DeltaStream|WriteInjector|RngTest|ZipfTest|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
+filter="${2:-"Update|DeltaStream|WriteInjector|RngTest|ZipfTest|ModelSerialization|HotCache|Embedding|Combined|Hybrid|FaultSchedule|Failover|RetryPolicy|FaultSweepTest|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
